@@ -5,19 +5,27 @@ flow, and the variational path-length fidelity estimator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.linalg import solve_sylvester
+from scipy.linalg.lapack import zgees, ztrsyl
 
 from .divergences import classical_fidelity, f_min, uhlmann_fidelity
 from .errors import DomainError, SingularStateError, ValidationError
 from .linalg import HermitianMatrix, eig_hermitian, matrix_sqrt
 from .reverse_tests import minimal_reverse_test
-from .states import DensityMatrix, ProbDist, SignedVector, make_density, rng_for
+from .states import (
+    DensityMatrix,
+    ProbDist,
+    SignedVector,
+    make_density,
+    make_density_stack,
+    rng_for,
+)
 
 FLOW_CONSTRAINT_TOL = 1e-4
 
@@ -165,9 +173,9 @@ def fmin_geodesic(rho: DensityMatrix, sigma: DensityMatrix, n_samples: int = 33)
         )
         pt = amp**2
         dpt = 2.0 * amp * damp
-        states.append(make_density((n * pt) @ n.conj().T))
-        velocities.append(HermitianMatrix((n * dpt) @ n.conj().T))
-    return Curve(times, tuple(states), tuple(velocities))
+        states.append((n * pt) @ n.conj().T)
+        velocities.append((n * dpt) @ n.conj().T)
+    return Curve(times, *make_density_stack(states, velocities))
 
 
 def _fd_velocities(curve: Curve) -> list[HermitianMatrix]:
@@ -210,9 +218,8 @@ def _resample(curve: Curve, panels: int) -> Curve:
         i = int(np.searchsorted(curve.times, t, side="right")) - 1
         i = min(max(i, 0), len(curve.times) - 2)
         u = (t - curve.times[i]) / (curve.times[i + 1] - curve.times[i])
-        m = (1.0 - u) * curve.states[i].mat + u * curve.states[i + 1].mat
-        states.append(make_density(m))
-    return Curve(times, tuple(states))
+        states.append((1.0 - u) * curve.states[i].mat + u * curve.states[i + 1].mat)
+    return Curve(times, make_density_stack(states)[0])
 
 
 def curve_length(curve: Curve, metric: str = "rld", panels: int | None = None) -> float:
@@ -273,43 +280,54 @@ def _check_flow_start(start: GeodesicState) -> None:
     tr_lr = np.trace(start.rld_matrix @ start.state.mat).real
     if abs(tr_lr) > 1e-8:
         raise ValidationError("start violates tr(L rho) = 0")
-    inv = np.linalg.inv(start.state.mat)
+    _require_positive(start.state)
     j = float(np.trace(start.rld_matrix.conj().T @ start.rld_matrix @ start.state.mat).real)
     if abs(j - 1.0) > 1e-6:
         raise ValidationError(f"start is not unit speed: J^R = {j}")
-    del inv
 
 
 def _integrate_flow(start: GeodesicState, dt: float, steps: int, deriv_l) -> Curve:
-    rho = start.state.mat.copy()
-    l = start.rld_matrix.copy()
     total = dt * steps
-    times = [0.0]
-    states = [start.state]
-    velocities = [HermitianMatrix(total * 0.5 * (l @ rho + rho @ l.conj().T))]
-    for k in range(steps):
-        # classical 4-stage Runge-Kutta on the coupled (rho, L) system
-        def f(r, m):
-            return m @ r, deriv_l(r, m)
+    rho = np.empty((steps + 1,) + start.state.mat.shape, dtype=complex)
+    l = np.empty_like(rho)
+    rho[0] = start.state.mat
+    l[0] = start.rld_matrix
+    v0 = HermitianMatrix(total * 0.5 * (l[0] @ rho[0] + rho[0] @ l[0].conj().T))
 
-        k1r, k1l = f(rho, l)
-        k2r, k2l = f(rho + 0.5 * dt * k1r, l + 0.5 * dt * k1l)
-        k3r, k3l = f(rho + 0.5 * dt * k2r, l + 0.5 * dt * k2l)
-        k4r, k4l = f(rho + dt * k3r, l + dt * k3l)
-        rho = rho + dt / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r)
-        l = l + dt / 6.0 * (k1l + 2 * k2l + 2 * k3l + k4l)
-        rho = 0.5 * (rho + rho.conj().T)
-        rho = rho / np.trace(rho).real  # the flow conserves trace analytically
-        residual = np.linalg.norm(rho @ l.conj().T - l @ rho)
-        if residual > FLOW_CONSTRAINT_TOL:
-            raise DomainError(
-                f"step {k + 1} rejected: constraint residual {residual:.3e} "
-                f"exceeds {FLOW_CONSTRAINT_TOL}"
-            )
-        times.append((k + 1) * dt / total)
-        states.append(make_density(rho))
-        velocities.append(HermitianMatrix(total * 0.5 * (l @ rho + rho @ l.conj().T)))
-    return Curve(np.array(times), tuple(states), tuple(velocities))
+    def trajectory(k):
+        # states and velocities of steps 1..k, validated in one pass
+        r, m = rho[1 : k + 1], l[1 : k + 1]
+        return make_density_stack(r, total * 0.5 * (m @ r + r @ m.conj().swapaxes(1, 2)))
+
+    def f(r, m):
+        return m @ r, deriv_l(r, m)
+
+    for k in range(steps):
+        try:
+            # classical 4-stage Runge-Kutta on the coupled (rho, L) system
+            r, m = rho[k], l[k]
+            k1r, k1l = f(r, m)
+            k2r, k2l = f(r + 0.5 * dt * k1r, m + 0.5 * dt * k1l)
+            k3r, k3l = f(r + 0.5 * dt * k2r, m + 0.5 * dt * k2l)
+            k4r, k4l = f(r + dt * k3r, m + dt * k3l)
+            r = r + dt / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r)
+            m = m + dt / 6.0 * (k1l + 2 * k2l + 2 * k3l + k4l)
+            r = 0.5 * (r + r.conj().T)
+            r = r / np.trace(r).real  # the flow conserves trace analytically
+            residual = np.linalg.norm(r @ m.conj().T - m @ r)
+            if residual > FLOW_CONSTRAINT_TOL:
+                raise DomainError(
+                    f"step {k + 1} rejected: constraint residual {residual:.3e} "
+                    f"exceeds {FLOW_CONSTRAINT_TOL}"
+                )
+        except DomainError:
+            trajectory(k)  # an invalid earlier step is reported first
+            raise
+        rho[k + 1] = r
+        l[k + 1] = m
+    states, velocities = trajectory(steps)
+    times = [0.0] + [(k + 1) * dt / total for k in range(steps)]
+    return Curve(np.array(times), (start.state,) + states, (v0,) + velocities)
 
 
 def commutative_geodesic_flow(start: GeodesicState, dt: float, steps: int) -> Curve:
@@ -319,9 +337,10 @@ def commutative_geodesic_flow(start: GeodesicState, dt: float, steps: int) -> Cu
     respect to the normalized parameter.
     """
     _check_flow_start(start)
+    eye = np.eye(start.state.dim)
 
     def deriv_l(_r, m):
-        return -0.5 * (m @ m + np.eye(m.shape[0]))
+        return -0.5 * (m @ m + eye)
 
     return _integrate_flow(start, dt, steps, deriv_l)
 
@@ -332,46 +351,77 @@ def rld_geodesic_flow(start: GeodesicState, dt: float, steps: int) -> Curve:
     _check_flow_start(start)
 
     def deriv_l(r, m):
-        rhs = -(r @ m.conj().T @ m + r)
-        try:
-            return solve_sylvester(r, r, rhs)
-        except Exception as exc:  # singular rho along the flow
-            raise DomainError(f"flow halted: Sylvester solve failed ({exc})") from exc
+        return _solve_stage_sylvester(r, -(r @ m.conj().T @ m + r))
 
     return _integrate_flow(start, dt, steps, deriv_l)
 
 
+def _solve_stage_sylvester(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """X with r X + X r = rhs, for a complex stage point r of the flow.
+
+    Bartels-Stewart (Comm. ACM 15, 1972) with both coefficients equal to r,
+    so the single Schur factor r = U T U† serves both sides:
+    T Y + Y T = U† rhs U is solved by ztrsyl and X = U Y U†.
+    """
+
+    def halt(reason):
+        return DomainError(f"flow halted: Sylvester solve failed ({reason})")
+
+    if not (np.isfinite(r).all() and np.isfinite(rhs).all()):
+        raise halt("array must not contain infs or NaNs")
+    t, _, _, u, _, info = zgees(lambda _: None, r)  # unsorted: the callback is unused
+    if info < 0:
+        raise halt(f"illegal value in {-info}-th argument of internal gees")
+    if info > 0:  # singular or ill-conditioned rho along the flow
+        raise halt("Schur form not found. Possibly ill-conditioned.")
+    uh = u.conj().T
+    # ztrsyl solves T Y + Y T = scale * (U† rhs U), scale < 1 only to avoid
+    # overflow; info = 1 flags perturbed close eigenvalues and still solves
+    y, scale, info = ztrsyl(t, t, uh @ rhs @ u)
+    if info < 0:
+        raise halt(f"Illegal value encountered in the {-info} term")
+    return u @ (y / scale) @ uh
+
+
+@functools.cache
 def _gl_nodes(order: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on [0, 1]; computed once per order and shared read-only."""
     x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w  # map to [0, 1]
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def _chart_length(anchors: Sequence[np.ndarray], order: int = 8) -> float:
     """RLD length of the path rho(t) = G(t)G(t)†/tr, G piecewise linear
-    through the anchors, with analytic velocities per segment."""
+    through the anchors, with analytic velocities per segment.
+
+    All segments x nodes are evaluated as one (segments, nodes, d, d) stack.
+    """
     nodes, weights = _gl_nodes(order)
-    total = 0.0
-    for g0, g1 in zip(anchors[:-1], anchors[1:]):
-        dg = g1 - g0
-        seg = 0.0
-        for u, w in zip(nodes, weights):
-            g = g0 + u * dg
-            m = g @ g.conj().T
-            tau = float(np.trace(m).real)
-            if tau <= 0.0:
-                raise DomainError("degenerate chart point")
-            dm = dg @ g.conj().T + g @ dg.conj().T
-            dtau = float(np.trace(dm).real)
-            rho = m / tau
-            drho = dm / tau - m * (dtau / tau**2)
-            winv = np.linalg.eigvalsh(rho)
-            if winv[0] <= 1e-13:
-                raise DomainError("chart path leaves the positive cone")
-            inv = np.linalg.inv(rho)
-            j = float(np.trace(drho @ inv @ drho).real)
-            seg += w * math.sqrt(max(j, 0.0))
-        total += seg
-    return total
+    a = np.asarray(anchors)
+    dg = (a[1:] - a[:-1])[:, None]
+    g = a[:-1, None] + nodes[:, None, None] * dg
+    gh = g.conj().swapaxes(-1, -2)
+    m = g @ gh
+    tau = np.trace(m, axis1=-2, axis2=-1).real
+    dm = dg @ gh + g @ dg.conj().swapaxes(-1, -2)
+    dtau = np.trace(dm, axis1=-2, axis2=-1).real
+    degenerate = tau <= 0.0
+    # degenerate nodes raise below; a unit tau keeps their arithmetic finite
+    tau = np.where(degenerate, 1.0, tau)[..., None, None]
+    rho = m / tau
+    drho = dm / tau - m * (dtau[..., None, None] / tau**2)
+    # nodes are checked in path order; the first failing one names the error
+    bad = degenerate | (np.linalg.eigvalsh(rho)[..., 0] <= 1e-13)
+    if bad.any():
+        first = np.flatnonzero(bad)[0]
+        if degenerate.flat[first]:
+            raise DomainError("degenerate chart point")
+        raise DomainError("chart path leaves the positive cone")
+    j = np.trace(drho @ np.linalg.inv(rho) @ drho, axis1=-2, axis2=-1).real
+    return float(np.sum(weights * np.sqrt(np.maximum(j, 0.0)), axis=1).sum())
 
 
 def fr_estimate(
@@ -435,6 +485,10 @@ def fr_estimate(
 
 @dataclass(frozen=True)
 class ExpansionReport:
+    """Residuals of the second-order expansion at each eps, their fitted
+    log-log slope, and whether arccos F <= sqrt(2 (1-F)) (1 + (1-F)/6)
+    holds at the fidelity F computed at every eps."""
+
     eps: tuple[float, ...]
     residuals: tuple[float, ...]
     slope: float
@@ -459,10 +513,13 @@ def arccos_bound_holds(grid_step: float = 1e-3, slack: float = 1e-9) -> bool:
 
 def arccos_product_bound_holds(grid_step: float = 1e-3, slack: float = 1e-9) -> bool:
     """arccos F <= sqrt(2 (1-F)) * (1 + (1-F)/6) on a uniform grid of F."""
-    grid = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
-    lhs = np.arccos(np.clip(grid, 0.0, 1.0))
-    rhs = np.sqrt(2.0 * (1.0 - grid)) * (1.0 + (1.0 - grid) / 6.0)
-    return bool(np.all(lhs <= rhs + slack))
+    return _arccos_product_bound_ok(np.arange(0.0, 1.0 + grid_step / 2, grid_step), slack)
+
+
+def _arccos_product_bound_ok(fidelities, slack: float = 1e-9) -> bool:
+    """arccos F <= sqrt(2 (1-F)) * (1 + (1-F)/6) at every given F."""
+    f = np.clip(np.asarray(fidelities, dtype=float), 0.0, 1.0)
+    return bool(np.all(np.arccos(f) <= np.sqrt(2.0 * (1.0 - f)) * (1.0 + (1.0 - f) / 6.0) + slack))
 
 
 def expansion_check(
@@ -479,13 +536,14 @@ def expansion_check(
         raise ValidationError("which must be 'fmin' or 'uhlmann'")
     rep = fisher_both(tp)
     j = rep.j_rld if which == "fmin" else rep.j_sld
-    residuals = []
+    fids, residuals = [], []
     for eps in eps_list:
         shifted = tp.state.mat + eps * tp.velocity.entries
         if np.linalg.eigvalsh(0.5 * (shifted + shifted.conj().T))[0] < -1e-8:
             raise DomainError(f"state leaves the PSD cone at eps = {eps}")
         sigma = make_density(shifted)
         fid = f_min(tp.state, sigma) if which == "fmin" else uhlmann_fidelity(tp.state, sigma)
+        fids.append(fid)
         residuals.append(abs(fid - (1.0 - eps * eps * j / 8.0)))
     if all(r == 0.0 for r in residuals):
         slope = math.inf
@@ -498,5 +556,5 @@ def expansion_check(
         eps=tuple(eps_list),
         residuals=tuple(residuals),
         slope=slope,
-        arccos_bound_ok=arccos_product_bound_holds(),
+        arccos_bound_ok=_arccos_product_bound_ok(fids),
     )

@@ -164,6 +164,85 @@ def make_density(entries) -> DensityMatrix:
     return DensityMatrix(HermitianMatrix((v * w) @ v.conj().T))
 
 
+def _prechecked(cls, **fields):
+    """Instance of a frozen dataclass whose __post_init__ checks already ran."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def make_density_stack(
+    states, velocities=None
+) -> tuple[tuple[DensityMatrix, ...], tuple[HermitianMatrix, ...] | None]:
+    """:func:`make_density` over an (n, d, d) stack of states and
+    ``HermitianMatrix`` over a matching stack of velocities, in one batched pass.
+
+    Runs every check that make_density, HermitianMatrix and
+    DensityMatrix.__post_init__ run, with one eigh and one eigvalsh for the
+    whole stack, and raises the error a loop over the indices would raise
+    first: state i, then velocity i, before index i + 1.  For a single
+    matrix :func:`make_density` is faster.
+    """
+    s = np.asarray(states, dtype=complex)
+    if s.ndim != 3 or s.shape[1] != s.shape[2]:
+        raise DimensionMismatchError(f"expected a stack of square matrices, got shape {s.shape}")
+    v = None if velocities is None else np.asarray(velocities, dtype=complex)
+    if v is not None and v.shape != s.shape:
+        raise DimensionMismatchError(f"velocity stack {v.shape} does not match state stack {s.shape}")
+
+    # Each check only looks below the first failure found so far; checks run
+    # in the scalar order, so at a shared index the earlier check wins.
+    stop, error = len(s), None
+
+    def note(bad, make_error):
+        nonlocal stop, error
+        hit = np.flatnonzero(bad[:stop])
+        if hit.size:
+            stop, error = int(hit[0]), make_error(int(hit[0]))
+
+    note(~np.isfinite(s).all(axis=(1, 2)), lambda i: ValidationError("matrix has non-finite entries"))
+    h = s[:stop]
+    h = 0.5 * (h + h.conj().swapaxes(1, 2))
+    tr = np.trace(h, axis1=1, axis2=2).real
+    note(
+        np.abs(tr - 1.0) > TRACE_TOL,
+        lambda i: ValidationError(f"trace {float(tr[i])} deviates from 1 by more than {TRACE_TOL}"),
+    )
+    w, frame = np.linalg.eigh(h[:stop])
+    note(w[:, 0] < -EIG_TOL, lambda i: ValidationError(f"min eigenvalue {w[i, 0]:.3e} below -{EIG_TOL}"))
+    w = np.clip(w[:stop], 0.0, None)
+    w = w / w.sum(axis=1, keepdims=True)
+    frame = frame[:stop]
+    out = (frame * w[:, None, :]) @ frame.conj().swapaxes(1, 2)
+    note(~np.isfinite(out).all(axis=(1, 2)), lambda i: ValidationError("matrix has non-finite entries"))
+    out = out[:stop]
+    out = 0.5 * (out + out.conj().swapaxes(1, 2))
+    dtr = np.trace(out, axis1=1, axis2=2).real
+    note(
+        np.abs(dtr - 1.0) > 1e-10,
+        lambda i: ValidationError(f"density matrix trace {float(dtr[i])} deviates from 1"),
+    )
+    note(
+        np.linalg.eigvalsh(out[:stop])[:, 0] < -1e-10,
+        lambda i: ValidationError("density matrix is not PSD within tolerance"),
+    )
+    if v is not None:
+        note(~np.isfinite(v).all(axis=(1, 2)), lambda i: ValidationError("matrix has non-finite entries"))
+    if error is not None:
+        raise error
+
+    out.setflags(write=False)
+    rhos = tuple(
+        _prechecked(DensityMatrix, matrix=_prechecked(HermitianMatrix, entries=m)) for m in out
+    )
+    if v is None:
+        return rhos, None
+    v = 0.5 * (v + v.conj().swapaxes(1, 2))
+    v.setflags(write=False)
+    return rhos, tuple(_prechecked(HermitianMatrix, entries=m) for m in v)
+
+
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 

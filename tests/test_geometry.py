@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_sylvester
 
 from revfid.divergences import f_min, uhlmann_fidelity
-from revfid.errors import DomainError, ValidationError
+from revfid.errors import DomainError, SingularStateError, ValidationError
 from revfid.geometry import (
     Curve,
     GeodesicState,
@@ -24,8 +25,16 @@ from revfid.geometry import (
     sld_fisher,
     tangent_reverse_estimation,
 )
+from revfid.geometry import _chart_length, _gl_nodes, _integrate_flow, _solve_stage_sylvester
 from revfid.linalg import HermitianMatrix
-from revfid.states import make_density, random_density, random_tangent, state_distance
+from revfid.states import (
+    DensityMatrix,
+    make_density,
+    random_density,
+    random_tangent,
+    rng_for,
+    state_distance,
+)
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -226,6 +235,16 @@ def test_flow_rejects_bad_constraint():
         commutative_geodesic_flow(GeodesicState(rho, l), 0.01, 5)
 
 
+@pytest.mark.parametrize("flow", [commutative_geodesic_flow, rld_geodesic_flow])
+def test_flow_rejects_singular_start(flow):
+    # satisfies every other start check: rho L† = L rho, tr(L rho) = 0, J^R = 1
+    gs = GeodesicState(
+        make_density(np.diag([0.5, 0.5, 0.0])), np.diag([1.0, -1.0, 0.0]).astype(complex)
+    )
+    with pytest.raises(SingularStateError):
+        flow(gs, 0.01, 5)
+
+
 def test_geodesic_start_is_unit_speed():
     rho = random_density(2, 2, 6)
     sigma = random_density(2, 2, 60)
@@ -297,6 +316,121 @@ def test_rld_flow_unit_speed_drift():
     assert drift < 1e-4
 
 
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("flow", [commutative_geodesic_flow, rld_geodesic_flow])
+def test_flow_multi_seed_curve_or_domain_error(dim, flow):
+    # the only failure a flow may report on valid starts is a DomainError;
+    # a ValidationError or LinAlgError propagates and fails the test
+    for seed in range(6):
+        rho = random_density(dim, dim, seed)
+        sigma = random_density(dim, dim, seed + 500)
+        gs, total = geodesic_start(rho, sigma)
+        try:
+            flow_curve = flow(gs, total / 500, 500)
+        except DomainError:
+            continue
+        assert len(flow_curve.states) == len(flow_curve.velocities) == 501
+        assert all(isinstance(s, DensityMatrix) for s in flow_curve.states)
+        assert min(s.min_eigenvalue() for s in flow_curve.states) >= -1e-10
+        assert max(abs(np.trace(s.mat).real - 1.0) for s in flow_curve.states) < 1e-6
+
+
+@pytest.mark.parametrize("abort_after_calls", [None, 4])
+def test_flow_reports_first_invalid_step_before_later_abort(abort_after_calls):
+    # a steep dL/dt pushes step 1 out of the PSD cone; a stage failure at step 2
+    # must not mask it, since a step-by-step loop rejects step 1 first
+    gs = GeodesicState(make_density(np.diag([0.5, 0.5])), np.zeros((2, 2), complex))
+    calls = []
+
+    def deriv_l(_r, _m):
+        calls.append(1)
+        if abort_after_calls is not None and len(calls) > abort_after_calls:
+            raise DomainError("stage failure")
+        return -np.diag([40.0, 0.0])
+
+    with pytest.raises(ValidationError, match="min eigenvalue"):
+        _integrate_flow(gs, 0.5, 3, deriv_l)
+
+
+def _stage_point(dim, seed):
+    rng = rng_for(seed, stream=3)
+    rho = random_density(dim, dim, seed).mat
+    l = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    r = rho + 0.05 * (l @ rho)  # an RK4 stage point: not Hermitian
+    return r, -(r @ l.conj().T @ l + r)
+
+
+def test_stage_sylvester_matches_scipy():
+    for seed in range(30):
+        r, rhs = _stage_point(2 + seed % 3, seed)
+        assert np.linalg.norm(r - r.conj().T) > 1e-3
+        x = _solve_stage_sylvester(r, rhs)
+        ref = solve_sylvester(r, r, rhs)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(r @ x + x @ r - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_stage_sylvester_rejects_non_finite():
+    r, rhs = _stage_point(3, 1)
+    for a, b in ((np.full_like(r, np.nan), rhs), (r, np.full_like(rhs, np.inf))):
+        with pytest.raises(DomainError, match="must not contain infs or NaNs"):
+            _solve_stage_sylvester(a, b)
+
+
+def _chart_length_by_node(anchors, order=8):
+    """Independent route: one node at a time, in path order."""
+    nodes, weights = _gl_nodes(order)
+    total = 0.0
+    for g0, g1 in zip(anchors[:-1], anchors[1:]):
+        dg = g1 - g0
+        seg = 0.0
+        for u, w in zip(nodes, weights):
+            g = g0 + u * dg
+            m = g @ g.conj().T
+            tau = float(np.trace(m).real)
+            if tau <= 0.0:
+                raise DomainError("degenerate chart point")
+            dm = dg @ g.conj().T + g @ dg.conj().T
+            dtau = float(np.trace(dm).real)
+            rho = m / tau
+            drho = dm / tau - m * (dtau / tau**2)
+            if np.linalg.eigvalsh(rho)[0] <= 1e-13:
+                raise DomainError("chart path leaves the positive cone")
+            j = float(np.trace(drho @ np.linalg.inv(rho) @ drho).real)
+            seg += w * math.sqrt(max(j, 0.0))
+        total += seg
+    return total
+
+
+def test_chart_length_matches_node_loop():
+    for seed in range(20):
+        dim = 2 + seed % 3
+        rng = rng_for(seed, stream=4)
+        anchors = [
+            rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            for _ in range(3 + seed % 3)
+        ]
+        ref = _chart_length_by_node(anchors)
+        assert abs(_chart_length(anchors) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize(
+    "anchors",
+    [
+        [np.zeros((2, 2), complex)] * 2,
+        [np.eye(2), np.diag([1.0, 0.5]), np.diag([1.0, 0.0]), np.diag([1.0, 0.0])],
+        [np.eye(2), np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), np.zeros((2, 2))],
+    ],
+)
+def test_chart_length_first_failing_node(anchors):
+    anchors = [np.asarray(a, dtype=complex) for a in anchors]
+    with pytest.raises(DomainError) as ref:
+        _chart_length_by_node(anchors)
+    with pytest.raises(DomainError) as got:
+        _chart_length(anchors)
+    assert str(got.value) == str(ref.value)
+
+
 # ------------------------------------------------------------ fr estimate
 
 
@@ -353,6 +487,8 @@ def test_expansion_classical_coin_order_three():
     )
     rep = expansion_check(tp)
     assert 2.7 <= rep.slope <= 3.3
+    # 1 - F reaches 5e-4 here, where the arccos bound's margin exceeds 1e-6
+    assert rep.arccos_bound_ok
 
 
 def test_expansion_random_qubit_both_metrics():

@@ -12,6 +12,7 @@ from revfid.states import (
     basis_measurement,
     embed_classical,
     make_density,
+    make_density_stack,
     measure,
     preparation_channel,
     random_channel,
@@ -139,3 +140,84 @@ def test_random_tangent_traceless_and_safe():
     rho, v = random_tangent(3, 9)
     assert abs(np.trace(v.entries).real) < 1e-12
     assert np.linalg.eigvalsh(rho.mat + 0.5 * v.entries)[0] > 0
+
+
+# ------------------------------------------------------ batched validation
+
+
+def _stack_inputs(n=6, dim=3):
+    states = [random_density(dim, dim, seed).mat for seed in range(n)]
+    # a rank-deficient state with a round-off negative eigenvalue to clip
+    states[n // 2] = np.diag([0.6, 0.4 + 5e-9, -5e-9]).astype(complex)
+    vels = []
+    for seed in range(n):
+        g = rng_for(seed, stream=2).standard_normal((dim, dim))
+        vels.append(g + g.T)
+    return np.array(states), np.array(vels, dtype=complex)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def _scalar_loop(states, vels):
+    # the per-index construction the stack replaces: state i, then velocity i
+    out = []
+    for s, v in zip(states, vels):
+        out.append((make_density(s), HermitianMatrix(v)))
+    return out
+
+
+def test_make_density_stack_matches_scalar():
+    states, vels = _stack_inputs()
+    rhos, hs = make_density_stack(states, vels)
+    for rho, h, (ref_rho, ref_h) in zip(rhos, hs, _scalar_loop(states, vels)):
+        assert np.abs(rho.mat - ref_rho.mat).max() <= 1e-15
+        assert np.array_equal(h.entries, ref_h.entries)
+        assert not rho.mat.flags.writeable and not h.entries.flags.writeable
+        assert rho.min_eigenvalue() >= -1e-10
+    only, none = make_density_stack(states)
+    assert none is None
+    assert all(np.array_equal(a.mat, b.mat) for a, b in zip(only, rhos))
+    assert make_density_stack(states[:0], vels[:0]) == ((), ())
+
+
+_BAD = {
+    "nan": lambda m: np.where(np.eye(len(m)) == 1, m, np.nan),
+    "trace": lambda m: 1.1 * m,
+    "negative": lambda m: np.diag([1.2, -0.2] + [0.0] * (len(m) - 2)).astype(complex),
+}
+
+
+@pytest.mark.parametrize(
+    "state_faults, velocity_faults",
+    [
+        ({0: "nan"}, {}),
+        ({4: "nan", 2: "trace"}, {}),
+        ({1: "negative", 3: "nan"}, {}),
+        ({3: "trace", 1: "negative"}, {}),
+        ({2: "negative"}, {2: "nan"}),
+        ({3: "trace"}, {1: "nan"}),
+        ({}, {5: "nan"}),
+    ],
+)
+def test_make_density_stack_raises_first_scalar_error(state_faults, velocity_faults):
+    states, vels = _stack_inputs()
+    for i, kind in state_faults.items():
+        states[i] = _BAD[kind](states[i])
+    for i, kind in velocity_faults.items():
+        vels[i] = _BAD[kind](vels[i])
+    expected = _outcome(lambda: _scalar_loop(states, vels))
+    assert isinstance(expected, tuple) and expected[0] is ValidationError
+    assert _outcome(lambda: make_density_stack(states, vels)) == expected
+
+
+def test_make_density_stack_rejects_bad_shapes():
+    states, vels = _stack_inputs()
+    with pytest.raises(DimensionMismatchError):
+        make_density_stack(states[:, :2, :])
+    with pytest.raises(DimensionMismatchError):
+        make_density_stack(states, vels[:-1])
