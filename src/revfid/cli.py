@@ -28,6 +28,7 @@ from .divergences import (
     f_min_via_geomean,
     OperatorMonotoneSpec,
     reverse_relative_entropy,
+    t_operator,
     trace_distance_classical,
     trace_distance_quantum,
     uhlmann_fidelity,
@@ -99,7 +100,6 @@ class RunConfig:
     trials: int = 20
     dims: tuple[int, ...] = (2, 3, 4)
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    out: str | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -460,8 +460,6 @@ def _suite_reverse_tests(cfg: RunConfig, canary: bool, failures, residuals):
             1e-9,
             seed,
         )
-        from .divergences import t_operator
-
         a = sample_contraction(t_operator(rho, sigma), seed + 2)
         grt, _ = general_reverse_test(rho, sigma, a)
         grep = verify_reverse_test(grt, rho, sigma, tol=rtol)
@@ -518,7 +516,6 @@ def cmd_suite(args) -> int:
         trials=args.trials,
         dims=tuple(args.dims),
         tolerances=_merged_tolerances(args.tol),
-        out=args.out,
     )
     report = run_suite(args.name, cfg, canary=args.canary_negate)
     text = report.to_json() + "\n"
@@ -686,7 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
     pg = sub.add_parser("geodesic", help="trace the minimal-fidelity geodesic to CSV")
     pg.add_argument("files", nargs=2, help="endpoint state files")
     pg.add_argument("--samples", type=int, default=33)
-    pg.add_argument("--metric", choices=["rld"], default="rld")
     pg.add_argument("--out", default=None)
     pg.set_defaults(func=cmd_geodesic)
     return parser

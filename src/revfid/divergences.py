@@ -11,20 +11,20 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, SingularStateError, ValidationError
+from .errors import DimensionMismatchError, DomainError, ValidationError
 from .linalg import (
     HermitianMatrix,
-    apply_spectral,
-    eig_hermitian,
-    geometric_mean,
-    matrix_pinv_sqrt,
-    matrix_sqrt,
-    support_projector,
+    SpectralDecomposition,
+    geometric_mean_from_sqrt,
+    hermitian_part,
+    map_spectrum,
+    psd_eigh,
+    support_inverse_power,
     trace_norm,
 )
 from .states import DensityMatrix, ProbDist, PureState
 
-STRICT_POSITIVE_MIN_EIG = 1e-10
+_SINGULAR = "{} is singular (min eigenvalue {{lam:.3e}}); use the pure-target closed form or regularize explicitly"
 
 
 def _check_sizes(p: ProbDist, q: ProbDist) -> None:
@@ -37,14 +37,6 @@ def _check_dims(rho: DensityMatrix, sigma: DensityMatrix) -> None:
         raise DimensionMismatchError(f"state dims differ: {rho.dim} vs {sigma.dim}")
 
 
-def _require_full_rank(rho: DensityMatrix, name: str = "rho") -> None:
-    if rho.min_eigenvalue() <= STRICT_POSITIVE_MIN_EIG:
-        raise SingularStateError(
-            f"{name} is singular (min eigenvalue {rho.min_eigenvalue():.3e}); "
-            "use the pure-target closed form or regularize explicitly"
-        )
-
-
 def classical_fidelity(p: ProbDist, q: ProbDist) -> float:
     """Bhattacharyya coefficient sum_x sqrt(p(x) q(x))."""
     _check_sizes(p, q)
@@ -54,41 +46,57 @@ def classical_fidelity(p: ProbDist, q: ProbDist) -> float:
 def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """tr sqrt(sqrt(sigma) rho sqrt(sigma)), the largest monotone extension."""
     _check_dims(rho, sigma)
-    rs = matrix_sqrt(rho.matrix).entries
+    rs = rho.sqrt()
     w = np.linalg.eigvalsh(rs @ sigma.mat @ rs)
     return float(min(np.sum(np.sqrt(np.clip(w, 0.0, None))), 1.0))
 
 
+def t_spectrum(rho: DensityMatrix, sigma: DensityMatrix) -> SpectralDecomposition:
+    """Eigensystem of T = sqrt(rho^-1/2 sigma rho^-1/2), eigenvalues ascending,
+    from rho's stored spectrum and one eigh of the inner operator."""
+    _check_dims(rho, sigma)
+    rho.require_full_rank(_SINGULAR.format("rho"))
+    ir = rho.spectrum.function(1.0 / np.sqrt(rho.spectrum.eigenvalues))
+    w_inner, frame = psd_eigh(hermitian_part(ir @ sigma.mat @ ir))
+    return SpectralDecomposition(eigenvalues=np.sqrt(w_inner), frame=frame)
+
+
+def _t_weights(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """T's eigenvalues t_x and p_x = <e_x|rho|e_x>: tr(rho g(T)) = sum_x g(t_x) p_x."""
+    spec = t_spectrum(rho, sigma)
+    return spec.eigenvalues, np.sum(spec.frame.conj() * (rho.mat @ spec.frame), axis=0).real
+
+
 def t_operator(rho: DensityMatrix, sigma: DensityMatrix) -> HermitianMatrix:
     """T = sqrt(rho^-1/2 sigma rho^-1/2); (sqrt(rho) T)(sqrt(rho) T)† = sigma."""
-    _check_dims(rho, sigma)
-    _require_full_rank(rho)
-    ir = matrix_pinv_sqrt(rho.matrix).entries
-    return matrix_sqrt(HermitianMatrix(ir @ sigma.mat @ ir))
+    spec = t_spectrum(rho, sigma)
+    return HermitianMatrix(spec.function(spec.eigenvalues))
 
 
 def f_min(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Reverse-test optimal fidelity tr(rho T); the smallest monotone extension."""
-    t = t_operator(rho, sigma)
-    return float(min(max(np.trace(rho.mat @ t.entries).real, 0.0), 1.0))
+    t, p = _t_weights(rho, sigma)
+    return float(min(max(t @ p, 0.0), 1.0))
 
 
 def f_min_via_geomean(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Same quantity through the operator geometric mean tr(rho # sigma)."""
+    """Same quantity through the operator geometric mean tr(rho # sigma),
+    an independent route that never forms T's eigensystem."""
     _check_dims(rho, sigma)
-    _require_full_rank(rho)
-    g = geometric_mean(rho.matrix, sigma.matrix)
-    return float(min(max(np.trace(g.entries).real, 0.0), 1.0))
+    rho.require_full_rank(_SINGULAR.format("rho"))
+    g = geometric_mean_from_sqrt(rho.sqrt(), sigma.mat)
+    return float(min(max(np.trace(g).real, 0.0), 1.0))
 
 
 def f_min_pure(rho: DensityMatrix, phi: PureState) -> float:
     """F_min against a pure target; 0 when phi leaves the support of rho."""
     if rho.dim != phi.dim:
         raise DimensionMismatchError(f"state dims differ: {rho.dim} vs {phi.dim}")
-    proj = support_projector(rho.matrix).entries
+    w = np.clip(rho.spectrum.eigenvalues, 0.0, None)
+    proj = rho.spectrum.function(support_inverse_power(w, 0.0))
     if np.linalg.norm(phi.amplitudes - proj @ phi.amplitudes) > 1e-8:
         return 0.0
-    v = matrix_pinv_sqrt(rho.matrix).entries @ phi.amplitudes
+    v = rho.spectrum.function(support_inverse_power(w, 0.5)) @ phi.amplitudes
     return float(min(1.0 / np.linalg.norm(v), 1.0))
 
 
@@ -155,9 +163,8 @@ def generalized_fidelity_classical(p: ProbDist, q: ProbDist, f: OperatorMonotone
 
 def f_f_min(rho: DensityMatrix, sigma: DensityMatrix, f: OperatorMonotoneSpec) -> float:
     """Generalized minimal fidelity tr(sqrt(rho) f(T^2) sqrt(rho))."""
-    t = t_operator(rho, sigma)
-    ft2 = apply_spectral(t, lambda lam: f(lam * lam))
-    return float(np.trace(rho.mat @ ft2.entries).real)
+    t, p = _t_weights(rho, sigma)
+    return float(map_spectrum(t, lambda lam: f(lam * lam)) @ p)
 
 
 def quasi_entropy_comparison(
@@ -176,10 +183,10 @@ def quasi_entropy_comparison(
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
     _check_dims(rho, sigma)
-    _require_full_rank(rho)
-    _require_full_rank(sigma, name="sigma")
-    rho_pow = apply_spectral(rho.matrix, lambda t: max(t, 0.0) ** (1.0 - alpha)).entries
-    sig_pow = apply_spectral(sigma.matrix, lambda t: max(t, 0.0) ** alpha).entries
+    rho.require_full_rank(_SINGULAR.format("rho"))
+    sigma.require_full_rank(_SINGULAR.format("sigma"))
+    rho_pow = rho.spectrum.function(np.clip(rho.spectrum.eigenvalues, 0.0, None) ** (1.0 - alpha))
+    sig_pow = sigma.spectrum.function(np.clip(sigma.spectrum.eigenvalues, 0.0, None) ** alpha)
     s_alpha = 1.0 - float(np.trace(rho_pow @ sig_pow).real)
     f_alpha_min = f_f_min(rho, sigma, OperatorMonotoneSpec.power(alpha))
     return s_alpha, 1.0 - f_alpha_min
@@ -201,18 +208,13 @@ def kl_divergence(p: ProbDist, q: ProbDist) -> float:
 def reverse_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """D^R(rho || sigma) = tr rho ln(sqrt(rho) sigma^-1 sqrt(rho))."""
     _check_dims(rho, sigma)
-    if sigma.min_eigenvalue() <= STRICT_POSITIVE_MIN_EIG:
-        raise SingularStateError("sigma must be strictly positive for D^R")
-    rs = matrix_sqrt(rho.matrix).entries
-    isig = np.linalg.inv(sigma.mat)
-    core = HermitianMatrix(rs @ isig @ rs)
-    dec = eig_hermitian(core)
-    # rho and core share the kernel of rho, so log is taken on the support
-    w = dec.eigenvalues
+    sigma.require_full_rank("sigma must be strictly positive for D^R")
+    rs = rho.sqrt()
+    w, frame = np.linalg.eigh(hermitian_part(rs @ np.linalg.inv(sigma.mat) @ rs))
+    # rho and the core share the kernel of rho, so log is taken on the support
     cut = 1e-14 * max(1.0, float(abs(w[-1])))
     logw = np.where(w > cut, np.log(np.where(w > cut, w, 1.0)), 0.0)
-    logm = (dec.frame * logw) @ dec.frame.conj().T
-    return float(np.trace(rho.mat @ logm).real)
+    return float(np.trace(rho.mat @ ((frame * logw) @ frame.conj().T)).real)
 
 
 def trace_distance_classical(p: ProbDist, q: ProbDist) -> float:
@@ -246,12 +248,9 @@ class DeltaMaxBounds:
 def delta_max_bounds(rho: DensityMatrix, sigma: DensityMatrix) -> DeltaMaxBounds:
     """Sandwich 1 - F_min <= Delta_max <= sqrt(1 - F_min^2), plus the
     sharper measurement bound Delta(M(rho), M(T rho T)) in the T eigenbasis."""
-    t = t_operator(rho, sigma)
-    fmin = float(min(max(np.trace(rho.mat @ t.entries).real, 0.0), 1.0))
-    dec = eig_hermitian(t)
-    p = np.array([float((dec.frame[:, i].conj() @ rho.mat @ dec.frame[:, i]).real) for i in range(rho.dim)])
-    q = dec.eigenvalues**2 * p
-    via_meas = float(0.5 * np.sum(np.abs(p - q)))
+    t, p = _t_weights(rho, sigma)
+    fmin = float(min(max(t @ p, 0.0), 1.0))
+    via_meas = float(0.5 * np.sum(np.abs(p - t**2 * p)))
     return DeltaMaxBounds(
         lower=1.0 - fmin,
         upper=math.sqrt(max(1.0 - fmin * fmin, 0.0)),

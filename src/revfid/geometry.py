@@ -15,8 +15,8 @@ from scipy.integrate import simpson
 from scipy.linalg.lapack import zgees, ztrsyl
 
 from .divergences import classical_fidelity, f_min, uhlmann_fidelity
-from .errors import DomainError, SingularStateError, ValidationError
-from .linalg import HermitianMatrix, eig_hermitian, matrix_sqrt
+from .errors import DomainError, ValidationError
+from .linalg import HermitianMatrix, hermitian_part
 from .reverse_tests import minimal_reverse_test
 from .states import (
     DensityMatrix,
@@ -95,15 +95,10 @@ class GeodesicState:
         return float(np.linalg.norm(r @ l.conj().T - l @ r))
 
 
-def _require_positive(rho: DensityMatrix) -> None:
-    if rho.min_eigenvalue() <= 1e-10:
-        raise SingularStateError("operation requires a strictly positive state")
-
-
 def sld_fisher(tp: TangentPoint) -> FisherReport:
     """Solve drho = (L rho + rho L)/2 and return J^S = tr L^2 rho."""
-    _require_positive(tp.state)
-    w, v = np.linalg.eigh(tp.state.mat)
+    tp.state.require_full_rank()
+    w, v = tp.state.spectrum.eigenvalues, tp.state.spectrum.frame
     d_tilde = v.conj().T @ tp.velocity.entries @ v
     l_tilde = 2.0 * d_tilde / np.add.outer(w, w)
     sld = HermitianMatrix(v @ l_tilde @ v.conj().T)
@@ -113,7 +108,7 @@ def sld_fisher(tp: TangentPoint) -> FisherReport:
 
 def rld_fisher(tp: TangentPoint) -> FisherReport:
     """L = drho rho^-1 and J^R = tr(drho rho^-1 drho)."""
-    _require_positive(tp.state)
+    tp.state.require_full_rank()
     inv = np.linalg.inv(tp.state.mat)
     rld = tp.velocity.entries @ inv
     j = float(np.trace(tp.velocity.entries @ inv @ tp.velocity.entries).real)
@@ -131,15 +126,14 @@ def tangent_reverse_estimation(
 ) -> tuple[np.ndarray, ProbDist, SignedVector]:
     """Minimal tangent reverse estimation (N, p, dp) with N p N† = rho and
     N dp N† = drho; the classical Fisher information of (p, dp) equals J^R."""
-    _require_positive(tp.state)
-    sr = matrix_sqrt(tp.state.matrix).entries
+    tp.state.require_full_rank()
+    sr = tp.state.sqrt()
     isr = np.linalg.inv(sr)
-    s = HermitianMatrix(isr @ tp.velocity.entries @ isr)
-    dec = eig_hermitian(s)
-    cols = sr @ dec.frame
+    w, frame = np.linalg.eigh(hermitian_part(isr @ tp.velocity.entries @ isr))
+    cols = sr @ frame
     norms = np.linalg.norm(cols, axis=0)
     p = norms**2
-    dp = dec.eigenvalues * p
+    dp = w * p
     return cols / norms, ProbDist(p), SignedVector(dp, total=0.0)
 
 
@@ -163,63 +157,43 @@ def fmin_geodesic(rho: DensityMatrix, sigma: DensityMatrix, n_samples: int = 33)
     sp = np.sqrt(rt.p.weights)
     sq = np.sqrt(rt.q.weights)
     n = rt.prep
-    states, velocities = [], []
-    for t in times:
-        amp = (math.sin((1.0 - t) * theta) * sp + math.sin(t * theta) * sq) / math.sin(theta)
-        damp = (
-            theta
-            * (-math.cos((1.0 - t) * theta) * sp + math.cos(t * theta) * sq)
-            / math.sin(theta)
-        )
-        pt = amp**2
-        dpt = 2.0 * amp * damp
-        states.append((n * pt) @ n.conj().T)
-        velocities.append((n * dpt) @ n.conj().T)
+    before, after = (1.0 - times)[:, None] * theta, times[:, None] * theta
+    amp = (np.sin(before) * sp + np.sin(after) * sq) / math.sin(theta)
+    damp = theta * (-np.cos(before) * sp + np.cos(after) * sq) / math.sin(theta)
+    states = (n * (amp**2)[:, None, :]) @ n.conj().T
+    velocities = (n * (2.0 * amp * damp)[:, None, :]) @ n.conj().T
     return Curve(times, *make_density_stack(states, velocities))
 
 
-def _fd_velocities(curve: Curve) -> list[HermitianMatrix]:
-    """Central differences, one-sided at the endpoints.
+def _fd_velocities(curve: Curve) -> np.ndarray:
+    """Central differences, one-sided at the endpoints, as an (n, d, d) stack.
 
     On uniform grids with enough samples the interior stencil is upgraded
     to fourth order so panel refinement converges below quadrature noise.
     """
     t = curve.times
-    mats = [s.mat for s in curve.states]
-    n = len(t)
+    m = np.array([s.mat for s in curve.states])
     steps = np.diff(t)
-    uniform = n >= 5 and np.ptp(steps) < 1e-12 * steps[0]
-    h = steps[0] if uniform else None
-    out = []
-    for i in range(n):
-        if i == 0:
-            if uniform:
-                d = (-3 * mats[0] + 4 * mats[1] - mats[2]) / (2 * h)
-            else:
-                d = (mats[1] - mats[0]) / (t[1] - t[0])
-        elif i == n - 1:
-            if uniform:
-                d = (3 * mats[-1] - 4 * mats[-2] + mats[-3]) / (2 * h)
-            else:
-                d = (mats[-1] - mats[-2]) / (t[-1] - t[-2])
-        elif uniform and 2 <= i <= n - 3:
-            d = (mats[i - 2] - 8 * mats[i - 1] + 8 * mats[i + 1] - mats[i + 2]) / (12 * h)
-        else:
-            d = (mats[i + 1] - mats[i - 1]) / (t[i + 1] - t[i - 1])
-        out.append(HermitianMatrix(d))
-    return out
+    d = np.empty_like(m)
+    d[1:-1] = (m[2:] - m[:-2]) / (t[2:] - t[:-2])[:, None, None]
+    if len(t) >= 5 and np.ptp(steps) < 1e-12 * steps[0]:
+        h = steps[0]
+        d[0] = (-3 * m[0] + 4 * m[1] - m[2]) / (2 * h)
+        d[-1] = (3 * m[-1] - 4 * m[-2] + m[-3]) / (2 * h)
+        d[2:-2] = (m[:-4] - 8 * m[1:-3] + 8 * m[3:-1] - m[4:]) / (12 * h)
+    else:
+        d[0] = (m[1] - m[0]) / (t[1] - t[0])
+        d[-1] = (m[-1] - m[-2]) / (t[-1] - t[-2])
+    return d
 
 
 def _resample(curve: Curve, panels: int) -> Curve:
     """Linear interpolation of the states onto a uniform panels+1 grid."""
     times = np.linspace(0.0, 1.0, panels + 1)
-    states = []
-    for t in times:
-        i = int(np.searchsorted(curve.times, t, side="right")) - 1
-        i = min(max(i, 0), len(curve.times) - 2)
-        u = (t - curve.times[i]) / (curve.times[i + 1] - curve.times[i])
-        states.append((1.0 - u) * curve.states[i].mat + u * curve.states[i + 1].mat)
-    return Curve(times, make_density_stack(states)[0])
+    i = np.clip(np.searchsorted(curve.times, times, side="right") - 1, 0, len(curve.times) - 2)
+    u = ((times - curve.times[i]) / (curve.times[i + 1] - curve.times[i]))[:, None, None]
+    m = np.array([s.mat for s in curve.states])
+    return Curve(times, make_density_stack((1.0 - u) * m[i] + u * m[i + 1])[0])
 
 
 def curve_length(curve: Curve, metric: str = "rld", panels: int | None = None) -> float:
@@ -235,27 +209,24 @@ def curve_length(curve: Curve, metric: str = "rld", panels: int | None = None) -
         if len(curve.states) == 1:
             return 0.0
         raise ValidationError("need at least 3 samples for quadrature")
-    vels = list(curve.velocities) if curve.velocities is not None else _fd_velocities(curve)
-    speeds = []
-    for state, vel in zip(curve.states, vels):
-        j = _metric_speed_squared(state, vel, metric)
-        speeds.append(math.sqrt(max(j, 0.0)))
-    return float(simpson(np.array(speeds), x=curve.times))
+    vels = curve.velocities
+    vels = _fd_velocities(curve) if vels is None else np.array([v.entries for v in vels])
+    j = _metric_speeds_squared(curve.states, vels, metric)
+    return float(simpson(np.sqrt(np.maximum(j, 0.0)), x=curve.times))
 
 
-def _metric_speed_squared(state: DensityMatrix, vel: HermitianMatrix, metric: str) -> float:
-    """J in the state's eigenbasis, taking the boundary limit where the
-    velocity vanishes together with an eigenvalue (great circles touching
-    the simplex boundary); a velocity component off the support of a
-    singular state has no finite metric and is rejected."""
-    w, v = np.linalg.eigh(state.mat)
-    d = v.conj().T @ vel.entries @ v
-    w = np.maximum(w, 1e-290)
+def _metric_speeds_squared(states: Sequence[DensityMatrix], vels: np.ndarray, metric: str) -> np.ndarray:
+    """J at every sample, in each state's stored eigenbasis, with the boundary
+    limit where the velocity vanishes together with an eigenvalue; a velocity
+    component off the support of a singular state has no finite metric."""
+    w = np.maximum(np.array([s.spectrum.eigenvalues for s in states]), 1e-290)
+    v = np.array([s.spectrum.frame for s in states])
+    d = np.abs(v.conj().swapaxes(1, 2) @ vels @ v) ** 2
     if metric == "rld":
-        j = float(np.sum(np.abs(d) ** 2 / w[None, :]))
+        j = np.sum(d / w[:, None, :], axis=(1, 2))
     else:
-        j = float(np.sum(2.0 * np.abs(d) ** 2 / np.add.outer(w, w)))
-    if not math.isfinite(j) or j > 1e15:
+        j = np.sum(2.0 * d / (w[:, :, None] + w[:, None, :]), axis=(1, 2))
+    if not np.all(np.isfinite(j)) or np.any(j > 1e15):
         raise DomainError("metric undefined: velocity leaves the support of a singular state")
     return j
 
@@ -280,7 +251,7 @@ def _check_flow_start(start: GeodesicState) -> None:
     tr_lr = np.trace(start.rld_matrix @ start.state.mat).real
     if abs(tr_lr) > 1e-8:
         raise ValidationError("start violates tr(L rho) = 0")
-    _require_positive(start.state)
+    start.state.require_full_rank()
     j = float(np.trace(start.rld_matrix.conj().T @ start.rld_matrix @ start.state.mat).real)
     if abs(j - 1.0) > 1e-6:
         raise ValidationError(f"start is not unit speed: J^R = {j}")
@@ -437,15 +408,15 @@ def fr_estimate(
     square-root-factor paths refined by coordinate descent, so the result
     always lies in [F_min, F] up to quadrature noise.
     """
-    _require_positive(rho)
-    _require_positive(sigma)
+    rho.require_full_rank()
+    sigma.require_full_rank()
     fmin_val = f_min(rho, sigma)
     if fmin_val >= 1.0 - 1e-12:
         return 1.0
     best = 2.0 * math.acos(fmin_val)  # exact length of the commutative geodesic
 
     geo = fmin_geodesic(rho, sigma, n_samples=control_points + 2)
-    anchors = [matrix_sqrt(s.matrix).entries.astype(complex) for s in geo.states]
+    anchors = [s.sqrt() for s in geo.states]
     try:
         current = _chart_length(anchors)
     except DomainError:

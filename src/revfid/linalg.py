@@ -30,6 +30,11 @@ def _as_square_complex(entries) -> np.ndarray:
     return a
 
 
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A†)/2 over the last two axes."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
 @dataclass(frozen=True)
 class HermitianMatrix:
     """Complex square matrix with the Hermiticity contract enforced."""
@@ -37,8 +42,7 @@ class HermitianMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = _as_square_complex(self.entries)
-        object.__setattr__(self, "entries", 0.5 * (a + a.conj().T))
+        object.__setattr__(self, "entries", hermitian_part(_as_square_complex(self.entries)))
         self.entries.setflags(write=False)
 
     @property
@@ -58,6 +62,10 @@ class SpectralDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         return (self.frame * self.eigenvalues) @ self.frame.conj().T
+
+    def function(self, fw: np.ndarray) -> np.ndarray:
+        """V diag(fw) V†, symmetrized, for the values fw of f at the eigenvalues."""
+        return hermitian_part((self.frame * fw) @ self.frame.conj().T)
 
 
 @dataclass(frozen=True)
@@ -80,16 +88,20 @@ def eig_hermitian(H) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, frame=v)
 
 
+def map_spectrum(w: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
+    """f at each eigenvalue; raises DomainError where f is not finite."""
+    with np.errstate(all="ignore"):
+        fw = np.array([f(lam) for lam in w], dtype=float)
+    bad = ~np.isfinite(fw)
+    if bad.any():
+        raise DomainError(f"scalar map undefined at eigenvalue {w[bad][0]!r}")
+    return fw
+
+
 def apply_spectral(H, f: Callable[[float], float]) -> HermitianMatrix:
     """Apply a scalar real map through the eigenbasis of H."""
     dec = eig_hermitian(H)
-    with np.errstate(all="ignore"):
-        fw = np.array([f(lam) for lam in dec.eigenvalues], dtype=float)
-    bad = ~np.isfinite(fw)
-    if bad.any():
-        lam = dec.eigenvalues[bad][0]
-        raise DomainError(f"scalar map undefined at eigenvalue {lam!r}")
-    return HermitianMatrix((dec.frame * fw) @ dec.frame.conj().T)
+    return HermitianMatrix((dec.frame * map_spectrum(dec.eigenvalues, f)) @ dec.frame.conj().T)
 
 
 def psd_check(H) -> PsdReport:
@@ -99,47 +111,46 @@ def psd_check(H) -> PsdReport:
     return PsdReport(is_psd=bool(w[0] >= -tol), min_eigenvalue=float(w[0]), tolerance_used=tol)
 
 
-def _psd_spectrum(H) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystem with negative eigenvalues clipped; raises if below tolerance."""
-    H = _hermitian(H)
-    dec = eig_hermitian(H)
-    tol = PSD_TOL_FACTOR * max(1.0, H.fro_norm())
-    if dec.eigenvalues[0] < -tol:
-        report = PsdReport(False, float(dec.eigenvalues[0]), tol)
-        raise NotPsdError(
-            f"matrix is not PSD: min eigenvalue {dec.eigenvalues[0]:.3e} < -{tol:.3e}",
-            report=report,
-        )
-    return np.clip(dec.eigenvalues, 0.0, None), dec.frame
+def psd_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystem of a Hermitian array, negative eigenvalues clipped to zero;
+    raises NotPsdError below -PSD_TOL_FACTOR * max(1, ||a||_F)."""
+    w, v = np.linalg.eigh(a)
+    tol = PSD_TOL_FACTOR * max(1.0, float(np.linalg.norm(a)))
+    if w[0] < -tol:
+        report = PsdReport(False, float(w[0]), tol)
+        raise NotPsdError(f"matrix is not PSD: min eigenvalue {w[0]:.3e} < -{tol:.3e}", report=report)
+    return np.clip(w, 0.0, None), v
+
+
+def support_inverse_power(w: np.ndarray, power: float) -> np.ndarray:
+    """w ** -power on the numerical support of clipped eigenvalues w
+    (ascending), zero on the kernel; power 0 gives the support mask."""
+    cut = PSD_TOL_FACTOR * max(1.0, float(w[-1]) if len(w) else 1.0)
+    on = w > cut
+    return np.where(on, 1.0 / np.where(on, w, 1.0) ** power, 0.0)
 
 
 def matrix_sqrt(P) -> HermitianMatrix:
     """Principal square root of a PSD matrix."""
-    w, v = _psd_spectrum(P)
+    w, v = psd_eigh(_hermitian(P).entries)
     return HermitianMatrix((v * np.sqrt(w)) @ v.conj().T)
 
 
 def matrix_pinv(P) -> HermitianMatrix:
     """Moore-Penrose inverse of a PSD matrix; acts as 0 on the kernel."""
-    w, v = _psd_spectrum(P)
-    cut = PSD_TOL_FACTOR * max(1.0, float(w[-1]) if len(w) else 1.0)
-    inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
-    return HermitianMatrix((v * inv) @ v.conj().T)
+    w, v = psd_eigh(_hermitian(P).entries)
+    return HermitianMatrix((v * support_inverse_power(w, 1.0)) @ v.conj().T)
 
 
 def matrix_pinv_sqrt(P) -> HermitianMatrix:
     """Moore-Penrose inverse of the square root of a PSD matrix."""
-    w, v = _psd_spectrum(P)
-    cut = PSD_TOL_FACTOR * max(1.0, float(w[-1]) if len(w) else 1.0)
-    inv = np.where(w > cut, 1.0 / np.sqrt(np.where(w > cut, w, 1.0)), 0.0)
-    return HermitianMatrix((v * inv) @ v.conj().T)
+    w, v = psd_eigh(_hermitian(P).entries)
+    return HermitianMatrix((v * support_inverse_power(w, 0.5)) @ v.conj().T)
 
 
 def support_projector(P) -> HermitianMatrix:
-    w, v = _psd_spectrum(P)
-    cut = PSD_TOL_FACTOR * max(1.0, float(w[-1]) if len(w) else 1.0)
-    mask = (w > cut).astype(float)
-    return HermitianMatrix((v * mask) @ v.conj().T)
+    w, v = psd_eigh(_hermitian(P).entries)
+    return HermitianMatrix((v * support_inverse_power(w, 0.0)) @ v.conj().T)
 
 
 def _require_strictly_positive(A: HermitianMatrix, *, what: str = "matrix") -> None:
@@ -158,10 +169,15 @@ def geometric_mean(A, B) -> HermitianMatrix:
     if A.dim != B.dim:
         raise DimensionMismatchError(f"dimension mismatch: {A.dim} vs {B.dim}")
     _require_strictly_positive(A, what="first argument of geometric_mean")
-    ra = matrix_sqrt(A).entries
+    return HermitianMatrix(geometric_mean_from_sqrt(matrix_sqrt(A).entries, B.entries))
+
+
+def geometric_mean_from_sqrt(ra: np.ndarray, b: np.ndarray, inner_map=matrix_sqrt) -> np.ndarray:
+    """ra inner_map(ra^-1 B ra^-†) ra† as a plain array, for the invertible
+    root ra = sqrt(A) (inverted by LU); inner_map = matrix_sqrt gives A # B."""
     ira = np.linalg.inv(ra)
-    inner = matrix_sqrt(HermitianMatrix(ira @ B.entries @ ira.conj().T)).entries
-    return HermitianMatrix(ra @ inner @ ra.conj().T)
+    inner = inner_map(HermitianMatrix(ira @ b @ ira.conj().T)).entries
+    return ra @ inner @ ra.conj().T
 
 
 def weighted_geometric_mean(A, B, alpha: float) -> HermitianMatrix:
@@ -171,13 +187,8 @@ def weighted_geometric_mean(A, B, alpha: float) -> HermitianMatrix:
     if A.dim != B.dim:
         raise DimensionMismatchError(f"dimension mismatch: {A.dim} vs {B.dim}")
     _require_strictly_positive(A, what="first argument of weighted_geometric_mean")
-    ra = matrix_sqrt(A).entries
-    ira = np.linalg.inv(ra)
-    inner = apply_spectral(
-        HermitianMatrix(ira @ B.entries @ ira.conj().T),
-        lambda t: max(t, 0.0) ** alpha,
-    ).entries
-    return HermitianMatrix(ra @ inner @ ra.conj().T)
+    power = lambda h: apply_spectral(h, lambda t: max(t, 0.0) ** alpha)
+    return HermitianMatrix(geometric_mean_from_sqrt(matrix_sqrt(A).entries, B.entries, power))
 
 
 def trace_norm(X) -> float:

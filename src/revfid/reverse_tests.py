@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import classical_fidelity, t_operator, uhlmann_fidelity
+from .divergences import classical_fidelity, f_min_pure, t_spectrum, uhlmann_fidelity
 from .errors import DomainError, RevfidError, ValidationError
-from .linalg import HermitianMatrix, eig_hermitian, matrix_pinv, matrix_sqrt, trace_norm
+from .linalg import HermitianMatrix, hermitian_part, psd_eigh, support_inverse_power, trace_norm
 from .states import DensityMatrix, ProbDist, PureState, make_density, rng_for
 
 COLUMN_NORM_TOL = 1e-9
@@ -101,12 +101,10 @@ def minimal_reverse_test(rho: DensityMatrix, sigma: DensityMatrix) -> ReverseTes
     prepare with the normalized columns of sqrt(rho) V.  Its classical
     fidelity equals tr(rho T).
     """
-    t = t_operator(rho, sigma)
-    dec = eig_hermitian(t)
-    sr = matrix_sqrt(rho.matrix).entries
-    cols = sr @ dec.frame
+    spec = t_spectrum(rho, sigma)
+    cols = rho.sqrt() @ spec.frame
     p = np.linalg.norm(cols, axis=0) ** 2
-    q = dec.eigenvalues**2 * p
+    q = spec.eigenvalues**2 * p
     prep = cols / np.linalg.norm(cols, axis=0)
     return ReverseTest(prep=prep, p=ProbDist(p), q=ProbDist(q))
 
@@ -151,8 +149,7 @@ def _complete_isometry_row(a: np.ndarray, env_extra: int) -> np.ndarray:
             f"extra columns, only {env_extra} available"
         )
     a_prime = np.zeros((d, env_extra), dtype=complex)
-    for j, idx in enumerate(nonzero):
-        a_prime[:, j] = np.sqrt(w[idx]) * e[:, idx]
+    a_prime[:, : len(nonzero)] = e[:, nonzero] * np.sqrt(w[nonzero])
     return a_prime
 
 
@@ -172,39 +169,44 @@ def general_reverse_test(
         env_dim = 2 * d
     if env_dim < d:
         raise ValidationError(f"env_dim {env_dim} must be >= dim {d}")
-    t = t_operator(rho, sigma)
+    spec = t_spectrum(rho, sigma)
+    t = spec.function(spec.eigenvalues)
     a = np.asarray(a, dtype=complex)
     if a.shape != (d, d):
         raise ValidationError(f"contraction must be {d}x{d}, got {a.shape}")
-    _check_contraction(t.entries, a)
+    _check_contraction(t, a)
 
     k = env_dim - d
     a_prime = _complete_isometry_row(a, k)
-    ta = 0.5 * ((t.entries @ a) + (t.entries @ a).conj().T)
-    tap = t.entries @ a_prime
+    ta = hermitian_part(t @ a)
+    tap = t @ a_prime
     # Schur complement of this C against the TA block is eps * I, so the
     # assembled block matrix stays PSD without any search.
-    eps = 1e-9 * float(np.trace(t.entries).real)
-    c = tap.conj().T @ matrix_pinv(HermitianMatrix(ta)).entries @ tap + eps * np.eye(k)
+    eps = 1e-9 * float(np.trace(t).real)
+    w_ta, v_ta = psd_eigh(ta)
+    ta_pinv = (v_ta * support_inverse_power(w_ta, 1.0)) @ v_ta.conj().T
+    c = tap.conj().T @ ta_pinv @ tap + eps * np.eye(k)
     t_tilde = HermitianMatrix(
         np.block([[ta, tap], [tap.conj().T, c]]) if k else ta
     )
     scale = max(1.0, t_tilde.fro_norm())
-    if np.linalg.eigvalsh(t_tilde.entries)[0] < -1e-7 * scale:
+    w, frame = np.linalg.eigh(t_tilde.entries)
+    if w[0] < -1e-7 * scale:
         raise ValidationError("assembled block matrix is not PSD; A is outside the valid family")
-    dec = eig_hermitian(t_tilde)
 
-    big_sqrt = np.hstack([matrix_sqrt(rho.matrix).entries, np.zeros((d, k))])
-    cols = big_sqrt @ dec.frame
+    sr = rho.sqrt()
+    cols = sr @ frame[:d]
     norms = np.linalg.norm(cols, axis=0)
     keep = norms > DROP_COLUMN_NORM
     cols = cols[:, keep]
     norms = norms[keep]
     p = norms**2
-    q = dec.eigenvalues[keep] ** 2 * p
+    # q_x = ||sqrt(rho) [TA, TA'] f_x||^2 = t_x^2 p_x keeps sum_x q_x = tr sigma;
+    # C can put a huge t_x on a tiny p_x, where t_x^2 p_x loses that mass
+    q = np.linalg.norm(sr @ t_tilde.entries[:d] @ frame[:, keep], axis=0) ** 2
     rt = ReverseTest(prep=cols / norms, p=ProbDist(p), q=ProbDist(q))
     params = GeneralReverseTestParams(
-        a_matrix=a, a_prime=a_prime, c_block=c, t_tilde=t_tilde, frame=dec.frame
+        a_matrix=a, a_prime=a_prime, c_block=c, t_tilde=t_tilde, frame=frame
     )
     return rt, params
 
@@ -216,8 +218,6 @@ def pure_target_reverse_test(rho: DensityMatrix, phi: PureState) -> ReverseTest:
     weight c keeping rho - c|phi><phi| PSD and spreads the rest over the
     eigenvectors of the remainder.
     """
-    from .divergences import f_min_pure
-
     c = f_min_pure(rho, phi) ** 2
     remainder = rho.mat - c * np.outer(phi.amplitudes, phi.amplitudes.conj())
     w, v = np.linalg.eigh(0.5 * (remainder + remainder.conj().T))
@@ -265,9 +265,10 @@ def hidden_pair(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[DensityMatrix
     W_rho W_rho† = rho, W_sigma W_sigma† = sigma, and
     W_rho W_sigma† = W_sigma W_rho† >= 0.
     """
-    t = t_operator(rho, sigma)
-    w_rho = matrix_sqrt(rho.matrix).entries
-    w_sigma = w_rho @ t.entries
+    spec = t_spectrum(rho, sigma)
+    t = spec.function(spec.eigenvalues)
+    w_rho = rho.sqrt()
+    w_sigma = w_rho @ t
     cross = w_rho @ w_sigma.conj().T
     checks = (
         trace_norm(w_rho @ w_rho.conj().T - rho.mat),
@@ -278,7 +279,7 @@ def hidden_pair(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[DensityMatrix
         raise RevfidError(f"W-factor contract violated, residuals {checks}")
     if np.linalg.eigvalsh(0.5 * (cross + cross.conj().T))[0] < -1e-9:
         raise RevfidError("W-factor cross term is not PSD")
-    sigma_prime = make_density(t.entries @ rho.mat @ t.entries)
+    sigma_prime = make_density(t @ rho.mat @ t)
     return rho, sigma_prime
 
 

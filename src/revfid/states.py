@@ -9,16 +9,17 @@ Parallel trials should use distinct (seed, stream) pairs via
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
-from .linalg import HermitianMatrix, trace_norm
+from .errors import DimensionMismatchError, SingularStateError, ValidationError
+from .linalg import HermitianMatrix, SpectralDecomposition, hermitian_part, trace_norm
 
 TRACE_TOL = 1e-8
 EIG_TOL = 1e-8
+FULL_RANK_MIN_EIG = 1e-10
 
 
 def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
@@ -28,17 +29,23 @@ def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Unit-trace PSD Hermitian matrix."""
+    """Unit-trace PSD Hermitian matrix, with the read-only eigendecomposition
+    (eigenvalues ascending) that validation computes as ``spectrum``."""
 
     matrix: HermitianMatrix
+    spectrum: SpectralDecomposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.matrix.entries
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > 1e-10:
             raise ValidationError(f"density matrix trace {tr} deviates from 1")
-        if np.linalg.eigvalsh(m)[0] < -1e-10:
+        w, v = np.linalg.eigh(m)
+        if w[0] < -1e-10:
             raise ValidationError("density matrix is not PSD within tolerance")
+        w.setflags(write=False)
+        v.setflags(write=False)
+        object.__setattr__(self, "spectrum", SpectralDecomposition(eigenvalues=w, frame=v))
 
     @property
     def dim(self) -> int:
@@ -49,7 +56,18 @@ class DensityMatrix:
         return self.matrix.entries
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.mat)[0])
+        return float(self.spectrum.eigenvalues[0])
+
+    def require_full_rank(self, message: str = "operation requires a strictly positive state") -> None:
+        """SingularStateError(message) unless the least eigenvalue ``{lam}``
+        exceeds FULL_RANK_MIN_EIG."""
+        lam = self.min_eigenvalue()
+        if lam <= FULL_RANK_MIN_EIG:
+            raise SingularStateError(message.format(lam=lam))
+
+    def sqrt(self) -> np.ndarray:
+        """Principal square root from the stored spectrum, as a plain array."""
+        return self.spectrum.function(np.sqrt(np.clip(self.spectrum.eigenvalues, 0.0, None)))
 
 
 @dataclass(frozen=True)
@@ -179,10 +197,10 @@ def make_density_stack(
     ``HermitianMatrix`` over a matching stack of velocities, in one batched pass.
 
     Runs every check that make_density, HermitianMatrix and
-    DensityMatrix.__post_init__ run, with one eigh and one eigvalsh for the
-    whole stack, and raises the error a loop over the indices would raise
-    first: state i, then velocity i, before index i + 1.  For a single
-    matrix :func:`make_density` is faster.
+    DensityMatrix.__post_init__ run, with two eigh calls for the whole
+    stack (the second fills each ``spectrum``), and raises the error a loop
+    over the indices would raise first: state i, then velocity i, before
+    index i + 1.  For a single matrix :func:`make_density` is faster.
     """
     s = np.asarray(states, dtype=complex)
     if s.ndim != 3 or s.shape[1] != s.shape[2]:
@@ -202,8 +220,7 @@ def make_density_stack(
             stop, error = int(hit[0]), make_error(int(hit[0]))
 
     note(~np.isfinite(s).all(axis=(1, 2)), lambda i: ValidationError("matrix has non-finite entries"))
-    h = s[:stop]
-    h = 0.5 * (h + h.conj().swapaxes(1, 2))
+    h = hermitian_part(s[:stop])
     tr = np.trace(h, axis1=1, axis2=2).real
     note(
         np.abs(tr - 1.0) > TRACE_TOL,
@@ -216,29 +233,32 @@ def make_density_stack(
     frame = frame[:stop]
     out = (frame * w[:, None, :]) @ frame.conj().swapaxes(1, 2)
     note(~np.isfinite(out).all(axis=(1, 2)), lambda i: ValidationError("matrix has non-finite entries"))
-    out = out[:stop]
-    out = 0.5 * (out + out.conj().swapaxes(1, 2))
+    out = hermitian_part(out[:stop])
     dtr = np.trace(out, axis1=1, axis2=2).real
     note(
         np.abs(dtr - 1.0) > 1e-10,
         lambda i: ValidationError(f"density matrix trace {float(dtr[i])} deviates from 1"),
     )
-    note(
-        np.linalg.eigvalsh(out[:stop])[:, 0] < -1e-10,
-        lambda i: ValidationError("density matrix is not PSD within tolerance"),
-    )
+    sw, sv = np.linalg.eigh(out[:stop])
+    note(sw[:, 0] < -1e-10, lambda i: ValidationError("density matrix is not PSD within tolerance"))
     if v is not None:
         note(~np.isfinite(v).all(axis=(1, 2)), lambda i: ValidationError("matrix has non-finite entries"))
     if error is not None:
         raise error
 
-    out.setflags(write=False)
+    for a in (out, sw, sv):
+        a.setflags(write=False)  # the per-state views below inherit this
     rhos = tuple(
-        _prechecked(DensityMatrix, matrix=_prechecked(HermitianMatrix, entries=m)) for m in out
+        _prechecked(
+            DensityMatrix,
+            matrix=_prechecked(HermitianMatrix, entries=m),
+            spectrum=SpectralDecomposition(eigenvalues=w_i, frame=v_i),
+        )
+        for m, w_i, v_i in zip(out, sw, sv)
     )
     if v is None:
         return rhos, None
-    v = 0.5 * (v + v.conj().swapaxes(1, 2))
+    v = hermitian_part(v)
     v.setflags(write=False)
     return rhos, tuple(_prechecked(HermitianMatrix, entries=m) for m in v)
 

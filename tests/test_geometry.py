@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 from scipy.linalg import solve_sylvester
 
 from revfid.divergences import f_min, uhlmann_fidelity
@@ -25,7 +26,13 @@ from revfid.geometry import (
     sld_fisher,
     tangent_reverse_estimation,
 )
-from revfid.geometry import _chart_length, _gl_nodes, _integrate_flow, _solve_stage_sylvester
+from revfid.geometry import (
+    _chart_length,
+    _fd_velocities,
+    _gl_nodes,
+    _integrate_flow,
+    _solve_stage_sylvester,
+)
 from revfid.linalg import HermitianMatrix
 from revfid.states import (
     DensityMatrix,
@@ -217,6 +224,51 @@ def test_curve_length_panel_refinement():
     l64 = curve_length(bare, "rld", panels=64)
     l128 = curve_length(bare, "rld", panels=128)
     assert abs(l64 - l128) < 1e-5
+
+
+def _curve_length_by_sample(curve, metric="rld"):
+    """Independent route: one eigh per sample, in curve order."""
+    vels = [v.entries for v in curve.velocities] if curve.velocities is not None else None
+    if vels is None:
+        vels = [v for v in _fd_velocities(curve)]
+    speeds = []
+    for state, vel in zip(curve.states, vels):
+        w, v = np.linalg.eigh(state.mat)
+        d = v.conj().T @ vel @ v
+        w = np.maximum(w, 1e-290)
+        if metric == "rld":
+            j = float(np.sum(np.abs(d) ** 2 / w[None, :]))
+        else:
+            j = float(np.sum(2.0 * np.abs(d) ** 2 / np.add.outer(w, w)))
+        if not math.isfinite(j) or j > 1e15:
+            raise DomainError("metric undefined: velocity leaves the support of a singular state")
+        speeds.append(math.sqrt(max(j, 0.0)))
+    return float(simpson(np.array(speeds), x=curve.times))
+
+
+@pytest.mark.parametrize("metric", ["rld", "sld"])
+def test_curve_length_matches_sample_loop(metric):
+    for seed in range(9):
+        dim = 2 + seed % 3
+        curve = fmin_geodesic(random_density(dim, dim, seed), random_density(dim, dim, seed + 40), 17)
+        for c in (curve, Curve(curve.times, curve.states)):  # given and finite-difference velocities
+            ref = _curve_length_by_sample(c, metric)
+            assert abs(curve_length(c, metric) - ref) <= 1e-12 * ref
+
+
+def test_curve_length_velocity_off_support_matches_sample_loop():
+    rho = make_density(np.diag([1.0, 0.0]))
+    curve = Curve(
+        np.array([0.0, 0.5, 1.0]),
+        (make_density(np.diag([0.5, 0.5])), rho, rho),
+        tuple(HermitianMatrix(np.diag([-1.0, 1.0])) for _ in range(3)),
+    )
+    for metric in ("rld", "sld"):
+        with pytest.raises(DomainError) as ref:
+            _curve_length_by_sample(curve, metric)
+        with pytest.raises(DomainError) as got:
+            curve_length(curve, metric)
+        assert str(got.value) == str(ref.value)
 
 
 # ---------------------------------------------------------------- flows

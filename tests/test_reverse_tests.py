@@ -192,3 +192,13 @@ def test_prepared_pair_matches_classical_embedding():
     assert np.allclose(prep_rho, rho.mat, atol=1e-12)
     assert np.allclose(prep_sigma, sigma.mat, atol=1e-12)
     assert classical_fidelity(rt.p, rt.q) == pytest.approx(rt.fidelity())
+
+
+def test_general_reverse_test_keeps_q_mass_on_ill_conditioned_pair():
+    # lambda_min(rho) = 2.7e-5 and T spans 0.11 to 124: the completion block C
+    # puts a 1.5e8 eigenvalue on a column with p ~ 3e-17, where t^2 p lost
+    # 1.7e-8 of q's mass and ProbDist rejected it
+    from revfid.cli import RunConfig, run_suite
+
+    report = run_suite("all", RunConfig(seed=16657441, trials=1, dims=(3,)))
+    assert report.passed, report.failures

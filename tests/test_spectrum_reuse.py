@@ -1,0 +1,256 @@
+"""The T-based quantities read each state's stored spectrum and decompose
+only the inner operator rho^-1/2 sigma rho^-1/2.
+
+They are checked against the route they replaced, which decomposes every
+state and intermediate again through the HermitianMatrix wrappers; against
+its typed errors on singular and non-PSD input; and by counting the
+decompositions per call.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from revfid.divergences import (
+    OperatorMonotoneSpec,
+    delta_max_bounds,
+    f_f_min,
+    f_min,
+    f_min_via_geomean,
+    quasi_entropy_comparison,
+    reverse_relative_entropy,
+    t_operator,
+    uhlmann_fidelity,
+)
+from revfid.errors import NotPsdError, SingularStateError, ValidationError
+from revfid.geometry import (
+    TangentPoint,
+    fr_estimate,
+    rld_fisher,
+    sld_fisher,
+    tangent_reverse_estimation,
+)
+from revfid.linalg import (
+    HermitianMatrix,
+    apply_spectral,
+    eig_hermitian,
+    matrix_pinv_sqrt,
+    matrix_sqrt,
+)
+from revfid.reverse_tests import general_reverse_test, hidden_pair, minimal_reverse_test
+from revfid.states import DensityMatrix, make_density, random_density
+
+ALPHAS = (0.25, 0.5, 0.75)
+
+
+# ------------------------------------------------- the wrapper route (oracle)
+
+
+def oracle_t_operator(rho, sigma):
+    lam = float(np.linalg.eigvalsh(rho.mat)[0])
+    if lam <= 1e-10:
+        raise SingularStateError(
+            f"rho is singular (min eigenvalue {lam:.3e}); "
+            "use the pure-target closed form or regularize explicitly"
+        )
+    ir = matrix_pinv_sqrt(rho.matrix).entries
+    return matrix_sqrt(HermitianMatrix(ir @ sigma.mat @ ir))
+
+
+def oracle_f_min(rho, sigma):
+    t = oracle_t_operator(rho, sigma)
+    return float(min(max(np.trace(rho.mat @ t.entries).real, 0.0), 1.0))
+
+
+def oracle_f_f_min(rho, sigma, f):
+    t = oracle_t_operator(rho, sigma)
+    ft2 = apply_spectral(t, lambda lam: f(lam * lam))
+    return float(np.trace(rho.mat @ ft2.entries).real)
+
+
+def oracle_delta_max_bounds(rho, sigma):
+    fmin = oracle_f_min(rho, sigma)
+    dec = eig_hermitian(oracle_t_operator(rho, sigma))
+    p = np.array([float((dec.frame[:, i].conj() @ rho.mat @ dec.frame[:, i]).real) for i in range(rho.dim)])
+    q = dec.eigenvalues**2 * p
+    return 1.0 - fmin, math.sqrt(max(1.0 - fmin * fmin, 0.0)), float(0.5 * np.sum(np.abs(p - q)))
+
+
+def oracle_minimal_reverse_test(rho, sigma):
+    dec = eig_hermitian(oracle_t_operator(rho, sigma))
+    cols = matrix_sqrt(rho.matrix).entries @ dec.frame
+    p = np.linalg.norm(cols, axis=0) ** 2
+    return cols / np.linalg.norm(cols, axis=0), p, dec.eigenvalues**2 * p
+
+
+def oracle_uhlmann_fidelity(rho, sigma):
+    rs = matrix_sqrt(rho.matrix).entries
+    w = np.linalg.eigvalsh(rs @ sigma.mat @ rs)
+    return float(min(np.sum(np.sqrt(np.clip(w, 0.0, None))), 1.0))
+
+
+def oracle_reverse_relative_entropy(rho, sigma):
+    if np.linalg.eigvalsh(sigma.mat)[0] <= 1e-10:
+        raise SingularStateError("sigma must be strictly positive for D^R")
+    rs = matrix_sqrt(rho.matrix).entries
+    dec = eig_hermitian(HermitianMatrix(rs @ np.linalg.inv(sigma.mat) @ rs))
+    w = dec.eigenvalues
+    cut = 1e-14 * max(1.0, float(abs(w[-1])))
+    logw = np.where(w > cut, np.log(np.where(w > cut, w, 1.0)), 0.0)
+    return float(np.trace(rho.mat @ ((dec.frame * logw) @ dec.frame.conj().T)).real)
+
+
+# --------------------------------------------------------------- agreement
+
+
+def well_conditioned_pairs():
+    # lambda_min >= 0.2 / d: both routes are accurate to round-off here
+    for dim in range(2, 7):
+        for seed in range(4):
+            s = 100 * dim + seed
+            rho, sigma = (
+                make_density(0.8 * random_density(dim, dim, k).mat + 0.2 * np.eye(dim) / dim)
+                for k in (s, s + 50)
+            )
+            yield rho, sigma
+
+
+def close(got, ref, tol=1e-12):
+    return abs(got - ref) <= tol * max(1.0, abs(ref))
+
+
+def test_t_quantities_match_wrapper_route():
+    for rho, sigma in well_conditioned_pairs():
+        assert np.abs(t_operator(rho, sigma).entries - oracle_t_operator(rho, sigma).entries).max() <= 1e-12
+        assert close(f_min(rho, sigma), oracle_f_min(rho, sigma))
+        for alpha in ALPHAS:
+            spec = OperatorMonotoneSpec.power(alpha)
+            assert close(f_f_min(rho, sigma, spec), oracle_f_f_min(rho, sigma, spec))
+        b = delta_max_bounds(rho, sigma)
+        got = (b.lower, b.upper, b.upper_via_measurement)
+        assert all(close(g, r) for g, r in zip(got, oracle_delta_max_bounds(rho, sigma)))
+        assert close(uhlmann_fidelity(rho, sigma), oracle_uhlmann_fidelity(rho, sigma))
+        assert close(reverse_relative_entropy(rho, sigma), oracle_reverse_relative_entropy(rho, sigma))
+
+
+def test_minimal_reverse_test_matches_wrapper_route():
+    for rho, sigma in well_conditioned_pairs():
+        rt = minimal_reverse_test(rho, sigma)
+        prep, p, q = oracle_minimal_reverse_test(rho, sigma)
+        assert np.abs(rt.p.weights - p).max() <= 1e-12
+        assert np.abs(rt.q.weights - q).max() <= 1e-12
+        # the same columns up to a phase each (T's spectrum is non-degenerate here)
+        overlaps = np.abs(np.sum(rt.prep.conj() * prep, axis=0))
+        assert np.abs(overlaps - 1.0).max() <= 1e-12
+
+
+# ------------------------------------------------------------ typed errors
+
+
+def _outcome(fn, *args):
+    """Type and message of the error fn raises.  Numbers in the message are
+    masked: the least eigenvalue of a singular state is round-off, and eigh
+    and eigvalsh round it differently."""
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), re.sub(r"-?\d\.\d+e[-+]\d+", "#", str(exc))
+    return None
+
+
+def test_singular_base_raises_as_before():
+    rho = random_density(3, 2, 5)
+    sigma = random_density(3, 3, 6)
+    expected = _outcome(oracle_t_operator, rho, sigma)
+    assert expected[0] is SingularStateError
+    calls = [
+        (t_operator, rho, sigma),
+        (f_min, rho, sigma),
+        (f_min_via_geomean, rho, sigma),
+        (f_f_min, rho, sigma, OperatorMonotoneSpec.sqrt()),
+        (delta_max_bounds, rho, sigma),
+        (minimal_reverse_test, rho, sigma),
+        (hidden_pair, rho, sigma),
+        (general_reverse_test, rho, sigma, np.eye(3)),
+        (quasi_entropy_comparison, rho, sigma, 0.5),
+    ]
+    for fn, *args in calls:
+        assert _outcome(fn, *args) == expected, fn.__name__
+    assert _outcome(reverse_relative_entropy, sigma, rho) == _outcome(
+        oracle_reverse_relative_entropy, sigma, rho
+    )
+    singular_sigma = _outcome(quasi_entropy_comparison, sigma, rho, 0.5)
+    assert singular_sigma[0] is SingularStateError
+    assert singular_sigma[1].startswith("sigma is singular (min eigenvalue ")
+
+
+def test_singular_state_in_geometry_raises_as_before():
+    rho = random_density(3, 2, 5)
+    tp = TangentPoint(rho, HermitianMatrix(np.diag([1.0, -1.0, 0.0])))
+    expected = (SingularStateError, "operation requires a strictly positive state")
+    for fn in (sld_fisher, rld_fisher, tangent_reverse_estimation):
+        assert _outcome(fn, tp) == expected
+    assert _outcome(fr_estimate, random_density(3, 3, 6), rho) == expected
+
+
+def test_non_psd_inputs_raise_as_before():
+    with pytest.raises(ValidationError, match="not PSD within tolerance"):
+        DensityMatrix(HermitianMatrix(np.diag([1.0 + 2e-10, -2e-10])))
+    # sigma passes validation at -5e-11, and rho^-1/2 magnifies that to -5e-7
+    rho = make_density(np.diag([1e-4, 1.0 - 1e-4]))
+    sigma = DensityMatrix(HermitianMatrix(np.diag([-5e-11, 1.0 + 5e-11])))
+    expected = _outcome(oracle_t_operator, rho, sigma)
+    assert expected[0] is NotPsdError
+    for fn in (t_operator, f_min, delta_max_bounds, minimal_reverse_test):
+        assert _outcome(fn, rho, sigma) == expected
+    assert _outcome(f_f_min, rho, sigma, OperatorMonotoneSpec.sqrt()) == expected
+
+
+# --------------------------------------------------- decompositions per call
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rho, sigma: f_min(rho, sigma),
+        lambda rho, sigma: minimal_reverse_test(rho, sigma),
+        lambda rho, sigma: t_operator(rho, sigma),
+        lambda rho, sigma: f_f_min(rho, sigma, OperatorMonotoneSpec.power(0.25)),
+        lambda rho, sigma: delta_max_bounds(rho, sigma),
+        lambda rho, sigma: uhlmann_fidelity(rho, sigma),
+        lambda rho, sigma: reverse_relative_entropy(rho, sigma),
+        lambda rho, sigma: f_min_via_geomean(rho, sigma),
+    ],
+    ids=[
+        "f_min",
+        "minimal_reverse_test",
+        "t_operator",
+        "f_f_min",
+        "delta_max_bounds",
+        "uhlmann_fidelity",
+        "reverse_relative_entropy",
+        "f_min_via_geomean",
+    ],
+)
+def test_one_decomposition_per_call_on_validated_pair(call, decompositions):
+    rho = random_density(3, 3, 1)
+    sigma = random_density(3, 3, 2)
+    decompositions.update(eigh=0, eigvalsh=0)  # the states' own validation is done
+    call(rho, sigma)
+    assert decompositions["eigh"] + decompositions["eigvalsh"] == 1

@@ -5,6 +5,7 @@ from revfid.errors import DimensionMismatchError, ValidationError
 from revfid.linalg import HermitianMatrix
 from revfid.states import (
     Channel,
+    DensityMatrix,
     ProbDist,
     PureState,
     SignedVector,
@@ -221,3 +222,33 @@ def test_make_density_stack_rejects_bad_shapes():
         make_density_stack(states[:, :2, :])
     with pytest.raises(DimensionMismatchError):
         make_density_stack(states, vels[:-1])
+
+
+def _assert_is_stored_spectrum(rho):
+    # the stored spectrum is eigh of the stored entries, read-only
+    w, v = np.linalg.eigh(rho.mat)
+    spec = rho.spectrum
+    assert np.abs(spec.eigenvalues - w).max() <= 1e-15
+    # eigenvectors agree up to a phase (the test spectra are non-degenerate)
+    overlaps = np.abs(np.sum(v.conj() * spec.frame, axis=0))
+    assert np.abs(overlaps - 1.0).max() <= 1e-12
+    assert np.abs(spec.reconstruct() - rho.mat).max() <= 1e-14
+    assert rho.min_eigenvalue() == spec.eigenvalues[0]
+    assert not spec.eigenvalues.flags.writeable and not spec.frame.flags.writeable
+
+
+def test_density_matrix_keeps_validated_spectrum():
+    for seed in range(6):
+        dim = 2 + seed % 4
+        g = rng_for(seed, stream=3).standard_normal((dim, dim, 2)) @ [1.0, 1.0j]
+        m = g @ g.conj().T
+        _assert_is_stored_spectrum(DensityMatrix(HermitianMatrix(m / np.trace(m).real)))
+        _assert_is_stored_spectrum(make_density(m / np.trace(m).real))
+        _assert_is_stored_spectrum(random_density(dim, dim, seed))
+
+
+def test_make_density_stack_keeps_validated_spectrum():
+    states, vels = _stack_inputs()
+    for rhos in (make_density_stack(states, vels)[0], make_density_stack(states)[0]):
+        for rho in rhos:
+            _assert_is_stored_spectrum(rho)
