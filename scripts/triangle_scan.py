@@ -4,28 +4,14 @@
 For each theta the pair (psi, phi) of pure states admits a detour through
 the diagonal state tau that is shorter than the direct leg under the
 Bhattacharyya angle of the minimal fidelity, and cheaper than the direct
-statistical distance for the reverse-test distance.
+statistical distance for the reverse-test distance. The states and the
+defects are those of `revfid counterexample`.
 """
 
 import argparse
 import math
 
-import numpy as np
-
-from revfid import PureState, delta_max_pure, f_min_pure, make_density
-
-
-def scan(theta):
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    psi = PureState(np.array([c, s]))
-    phi = PureState(np.array([c, -s]))
-    tau = make_density(np.diag([c, s]) / (c + s))
-    leg = f_min_pure(tau, psi)
-    direct = f_min_pure(psi.projector(), phi)
-    angle_defect = math.acos(direct) - 2 * math.acos(leg)
-    delta_direct = delta_max_pure(psi.projector(), phi)
-    delta_bound = 2 * math.sqrt(1 - leg * leg)
-    return leg, angle_defect, delta_direct, delta_bound
+from revfid.cli import triangle_quantities
 
 
 def main():
@@ -35,10 +21,10 @@ def main():
     print(f"{'theta':>8} {'fmin leg':>10} {'angle defect':>13} {'delta defect':>13}")
     for k in range(1, args.steps + 1):
         theta = k * (math.pi / 2) / (args.steps + 1)
-        leg, angle_defect, delta_direct, delta_bound = scan(theta)
+        q = triangle_quantities(theta)
         print(
-            f"{theta:8.4f} {leg:10.6f} {angle_defect:13.6f} "
-            f"{delta_direct - delta_bound:13.6f}"
+            f"{theta:8.4f} {q['fmin_psi_tau']:10.6f} {q['angle_defect']:13.6f} "
+            f"{q['triangle_defect']:13.6f}"
         )
 
 

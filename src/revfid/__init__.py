@@ -44,6 +44,7 @@ from .geometry import (
     classical_fisher,
     commutative_geodesic_flow,
     curve_length,
+    curve_speeds,
     expansion_check,
     fisher_both,
     fmin_geodesic,
@@ -58,14 +59,9 @@ from .linalg import (
     HermitianMatrix,
     PsdReport,
     SpectralDecomposition,
-    apply_spectral,
     eig_hermitian,
     geometric_mean,
-    matrix_pinv,
-    matrix_pinv_sqrt,
     matrix_sqrt,
-    psd_check,
-    support_projector,
     trace_norm,
     weighted_geometric_mean,
 )

@@ -38,6 +38,7 @@ from .geometry import (
     TangentPoint,
     classical_fisher,
     curve_length,
+    curve_speeds,
     fisher_both,
     fmin_geodesic,
     fr_estimate,
@@ -84,15 +85,6 @@ DEFAULT_TOLERANCES = {
     "tangent_fisher": 1e-8,
 }
 
-SUITE_NAMES = (
-    "monotonicity",
-    "sandwich",
-    "concavity",
-    "multiplicativity",
-    "geometry",
-    "reverse-tests",
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -104,8 +96,18 @@ class RunConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
+        if not self.dims:
+            raise ValidationError("dims must name at least one dimension")
         if any(d < 2 for d in self.dims):
             raise ValidationError("every dim must be >= 2")
+        for name in self.tolerances:
+            if name not in DEFAULT_TOLERANCES:
+                raise ValidationError(f"unknown tolerance {name!r}")
+        for name in DEFAULT_TOLERANCES:
+            if name not in self.tolerances:
+                raise ValidationError(f"missing tolerance {name!r}")
+            if math.isnan(self.tolerances[name]):
+                raise ValidationError(f"tolerance {name!r} is NaN")
 
 
 @dataclass
@@ -191,77 +193,70 @@ def _is_prob_file(path: str) -> bool:
     return "p" in _load_json(path)
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _emit(lines: list[str], out: str | None, tee: bool = True) -> None:
+    """Write the lines to the file `out` if given, and to stdout when `tee`
+    is set or there is no file."""
+    text = "\n".join(lines) + "\n"
+    if tee or not out:
+        sys.stdout.write(text)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"{out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- compute
 
 
+def _bounds_lines(bounds) -> list[str]:
+    names = ("lower", "upper", "upper_via_measurement")
+    return [f"{name} {fmt(getattr(bounds, name))}" for name in names]
+
+
+# quantity -> f(first, second, args), a number or a list of output lines; the
+# second file is a state, or a Hermitian velocity for "sld" and "rld"
+_STATE_QUANTITIES = {
+    "fidelity": lambda rho, sigma, _: uhlmann_fidelity(rho, sigma),
+    "fmin": lambda rho, sigma, _: f_min(rho, sigma),
+    "fmin-geomean": lambda rho, sigma, _: f_min_via_geomean(rho, sigma),
+    "ffmin": lambda rho, sigma, a: f_f_min(rho, sigma, OperatorMonotoneSpec.power(a.alpha)),
+    "dr-entropy": lambda rho, sigma, _: reverse_relative_entropy(rho, sigma),
+    "trace-distance": lambda rho, sigma, _: trace_distance_quantum(rho, sigma),
+    "delta-max-bounds": lambda rho, sigma, _: _bounds_lines(delta_max_bounds(rho, sigma)),
+    "sld": lambda rho, vel, _: sld_fisher(TangentPoint(rho, vel)).j_sld,
+    "rld": lambda rho, vel, _: rld_fisher(TangentPoint(rho, vel)).j_rld,
+    "fr-estimate": lambda rho, sigma, a: fr_estimate(
+        rho, sigma, control_points=a.control_points, iterations=a.iterations, seed=a.seed
+    ),
+}
+
+# quantity -> f(p, q) when the first file is a distribution {"p": [...]}
+_DISTRIBUTION_QUANTITIES = {
+    "fidelity": classical_fidelity,
+    "fmin": classical_fidelity,
+    "trace-distance": trace_distance_classical,
+}
+
+
 def cmd_compute(args) -> int:
-    q = args.quantity
-    lines: list[str] = []
-    if q in ("fidelity", "fmin") and _is_prob_file(args.files[0]):
-        p, qq = load_prob(args.files[0]), load_prob(args.files[1])
-        lines.append(fmt(classical_fidelity(p, qq)))
-    elif q == "fidelity":
-        rho, sigma = load_state(args.files[0]), load_state(args.files[1])
-        lines.append(fmt(uhlmann_fidelity(rho, sigma)))
-    elif q == "fmin":
-        rho, sigma = load_state(args.files[0]), load_state(args.files[1])
-        lines.append(fmt(f_min(rho, sigma)))
-    elif q == "fmin-geomean":
-        rho, sigma = load_state(args.files[0]), load_state(args.files[1])
-        lines.append(fmt(f_min_via_geomean(rho, sigma)))
-    elif q == "ffmin":
-        rho, sigma = load_state(args.files[0]), load_state(args.files[1])
-        lines.append(fmt(f_f_min(rho, sigma, OperatorMonotoneSpec.power(args.alpha))))
-    elif q == "dr-entropy":
-        rho, sigma = load_state(args.files[0]), load_state(args.files[1])
-        lines.append(fmt(reverse_relative_entropy(rho, sigma)))
-    elif q == "trace-distance":
-        if _is_prob_file(args.files[0]):
-            p, qq = load_prob(args.files[0]), load_prob(args.files[1])
-            lines.append(fmt(trace_distance_classical(p, qq)))
-        else:
-            rho, sigma = load_state(args.files[0]), load_state(args.files[1])
-            lines.append(fmt(trace_distance_quantum(rho, sigma)))
-    elif q == "delta-max-bounds":
-        rho, sigma = load_state(args.files[0]), load_state(args.files[1])
-        b = delta_max_bounds(rho, sigma)
-        lines.append(f"lower {fmt(b.lower)}")
-        lines.append(f"upper {fmt(b.upper)}")
-        lines.append(f"upper_via_measurement {fmt(b.upper_via_measurement)}")
-    elif q in ("sld", "rld"):
-        rho = load_state(args.files[0])
-        vel = load_hermitian(args.files[1])
-        tp = TangentPoint(rho, vel)
-        rep = sld_fisher(tp) if q == "sld" else rld_fisher(tp)
-        lines.append(fmt(rep.j_sld if q == "sld" else rep.j_rld))
-    elif q == "fr-estimate":
-        rho, sigma = load_state(args.files[0]), load_state(args.files[1])
-        lines.append(
-            fmt(
-                fr_estimate(
-                    rho,
-                    sigma,
-                    control_points=args.control_points,
-                    iterations=args.iterations,
-                    seed=args.seed,
-                )
-            )
-        )
+    q, (first, second) = args.quantity, args.files
+    if q in _DISTRIBUTION_QUANTITIES and _is_prob_file(first):
+        value = _DISTRIBUTION_QUANTITIES[q](load_prob(first), load_prob(second))
     else:
-        raise ValidationError(f"unknown quantity {q!r}")
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    _write_out(text, args.out)
+        load_second = load_hermitian if q in ("sld", "rld") else load_state
+        value = _STATE_QUANTITIES[q](load_state(first), load_second(second), args)
+    _emit(value if isinstance(value, list) else [fmt(value)], args.out)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- suites
+#
+# Each suite is a generator of the checks of one trial at (dim, seed):
+# (invariant, residual, tolerance, signed). A check fails when its residual
+# exceeds its tolerance. `signed` is true for the residual of an inequality,
+# which may be negative, and false for a distance, which is not.
 
 
 def _trial_seed(base: int, suite: str, trial: int) -> int:
@@ -269,236 +264,129 @@ def _trial_seed(base: int, suite: str, trial: int) -> int:
     return (base * 1000003 + tag * 101 + trial * 13) % (2**31)
 
 
-def _record(failures, residuals, name, value, tol, seed):
-    residuals[name] = max(residuals.get(name, 0.0), value)
-    if value > tol:
-        failures.append({"invariant": name, "residual": value, "seed": seed})
+def _suite_monotonicity(dim: int, seed: int, tols: dict):
+    tol = tols["monotonicity"]
+    rho = random_density(dim, dim, seed)
+    sigma = random_density(dim, dim, seed + 1)
+    lam = random_channel(dim, dim, 2, seed + 2)
+    rho2, sigma2 = apply_channel(lam, rho), apply_channel(lam, sigma)
+    gap = uhlmann_fidelity(rho, sigma) - uhlmann_fidelity(rho2, sigma2)
+    yield "uhlmann_monotone", gap, tol, True
+    yield "fmin_monotone", f_min(rho, sigma) - f_min(rho2, sigma2), tol, True
+    for alpha in (0.25, 0.5, 0.75):
+        spec = OperatorMonotoneSpec.power(alpha)
+        gap = f_f_min(rho, sigma, spec) - f_f_min(rho2, sigma2, spec)
+        yield f"ffmin_{alpha}_monotone", gap, tol, True
+    gap = trace_distance_quantum(rho2, sigma2) - trace_distance_quantum(rho, sigma)
+    yield "trace_distance_contracts", gap, tol, True
+    gap = reverse_relative_entropy(rho2, sigma2) - reverse_relative_entropy(rho, sigma)
+    yield "dr_entropy_contracts", gap, tol, True
 
 
-def _suite_monotonicity(cfg: RunConfig, canary: bool, failures, residuals):
-    tol = cfg.tolerances["monotonicity"]
-    sign = -1.0 if canary else 1.0
-    for trial in range(cfg.trials):
-        dim = cfg.dims[trial % len(cfg.dims)]
-        seed = _trial_seed(cfg.seed, "mono", trial)
-        rho = random_density(dim, dim, seed)
-        sigma = random_density(dim, dim, seed + 1)
-        lam = random_channel(dim, dim, 2, seed + 2)
-        rho2, sigma2 = apply_channel(lam, rho), apply_channel(lam, sigma)
-        pairs = [
-            ("uhlmann_monotone", uhlmann_fidelity(rho, sigma), uhlmann_fidelity(rho2, sigma2)),
-            ("fmin_monotone", f_min(rho, sigma), f_min(rho2, sigma2)),
-        ]
-        for alpha in (0.25, 0.5, 0.75):
-            spec = OperatorMonotoneSpec.power(alpha)
-            pairs.append(
-                (
-                    f"ffmin_{alpha}_monotone",
-                    f_f_min(rho, sigma, spec),
-                    f_f_min(rho2, sigma2, spec),
-                )
-            )
-        for name, before, after in pairs:
-            _record(failures, residuals, name, sign * (before - after), tol, seed)
-        _record(
-            failures,
-            residuals,
-            "trace_distance_contracts",
-            sign * (trace_distance_quantum(rho2, sigma2) - trace_distance_quantum(rho, sigma)),
-            tol,
-            seed,
-        )
-        _record(
-            failures,
-            residuals,
-            "dr_entropy_contracts",
-            sign * (reverse_relative_entropy(rho2, sigma2) - reverse_relative_entropy(rho, sigma)),
-            tol,
-            seed,
-        )
+def _suite_sandwich(_dim: int, seed: int, tols: dict):
+    tol, dtol = tols["sandwich"], tols["distance_bounds"]
+    rho = random_density(2, 2, seed)
+    sigma = random_density(2, 2, seed + 1)
+    fmin = f_min(rho, sigma)
+    fu = uhlmann_fidelity(rho, sigma)
+    fr = fr_estimate(rho, sigma, control_points=3, iterations=6, seed=seed)
+    yield "fmin_below_fr", fmin - fr, tol, True
+    yield "fr_below_uhlmann", fr - fu, tol, True
+    delta = trace_distance_quantum(rho, sigma)
+    yield "one_minus_f_below_delta", 1 - fu - delta, dtol, True
+    yield "delta_below_sqrt", delta - math.sqrt(max(1 - fu * fu, 0.0)), dtol, True
 
 
-def _suite_sandwich(cfg: RunConfig, canary: bool, failures, residuals):
-    tol = cfg.tolerances["sandwich"]
-    dtol = cfg.tolerances["distance_bounds"]
-    sign = -1.0 if canary else 1.0
-    for trial in range(cfg.trials):
-        seed = _trial_seed(cfg.seed, "sandwich", trial)
-        rho = random_density(2, 2, seed)
-        sigma = random_density(2, 2, seed + 1)
-        fmin = f_min(rho, sigma)
-        fu = uhlmann_fidelity(rho, sigma)
-        fr = fr_estimate(rho, sigma, control_points=3, iterations=6, seed=seed)
-        _record(failures, residuals, "fmin_below_fr", sign * (fmin - fr), tol, seed)
-        _record(failures, residuals, "fr_below_uhlmann", sign * (fr - fu), tol, seed)
-        delta = trace_distance_quantum(rho, sigma)
-        _record(failures, residuals, "one_minus_f_below_delta", sign * (1 - fu - delta), dtol, seed)
-        _record(
-            failures,
-            residuals,
-            "delta_below_sqrt",
-            sign * (delta - math.sqrt(max(1 - fu * fu, 0.0))),
-            dtol,
-            seed,
-        )
-
-
-def _suite_concavity(cfg: RunConfig, canary: bool, failures, residuals):
-    tol = cfg.tolerances["concavity"]
-    sign = -1.0 if canary else 1.0
+def _suite_concavity(dim: int, seed: int, tols: dict):
+    tol = tols["concavity"]
     spec = OperatorMonotoneSpec.power(0.5)
-    for trial in range(cfg.trials):
-        dim = cfg.dims[trial % len(cfg.dims)]
-        seed = _trial_seed(cfg.seed, "concave", trial)
-        rng = rng_for(seed, stream=9)
-        rhos = [random_density(dim, dim, seed + i) for i in (0, 1)]
-        sigmas = [random_density(dim, dim, seed + i) for i in (2, 3)]
-        lam = rng.dirichlet((2.0, 2.0))
-        mu = rng.dirichlet((2.0, 2.0))
-        rho_mix = make_density(lam[0] * rhos[0].mat + lam[1] * rhos[1].mat)
-        sig_mix_mu = make_density(mu[0] * sigmas[0].mat + mu[1] * sigmas[1].mat)
-        sig_mix_lam = make_density(lam[0] * sigmas[0].mat + lam[1] * sigmas[1].mat)
-        strong = sum(
-            math.sqrt(lam[i] * mu[i]) * f_min(rhos[i], sigmas[i]) for i in (0, 1)
-        )
-        _record(
-            failures,
-            residuals,
-            "fmin_strong_concave",
-            sign * (strong - f_min(rho_mix, sig_mix_mu)),
-            tol,
-            seed,
-        )
-        joint = sum(lam[i] * f_f_min(rhos[i], sigmas[i], spec) for i in (0, 1))
-        _record(
-            failures,
-            residuals,
-            "ffmin_joint_concave",
-            sign * (joint - f_f_min(rho_mix, sig_mix_lam, spec)),
-            tol,
-            seed,
-        )
+    rng = rng_for(seed, stream=9)
+    rhos = [random_density(dim, dim, seed + i) for i in (0, 1)]
+    sigmas = [random_density(dim, dim, seed + i) for i in (2, 3)]
+    lam = rng.dirichlet((2.0, 2.0))
+    mu = rng.dirichlet((2.0, 2.0))
+    rho_mix = make_density(lam[0] * rhos[0].mat + lam[1] * rhos[1].mat)
+    sig_mix_mu = make_density(mu[0] * sigmas[0].mat + mu[1] * sigmas[1].mat)
+    sig_mix_lam = make_density(lam[0] * sigmas[0].mat + lam[1] * sigmas[1].mat)
+    strong = sum(math.sqrt(lam[i] * mu[i]) * f_min(rhos[i], sigmas[i]) for i in (0, 1))
+    yield "fmin_strong_concave", strong - f_min(rho_mix, sig_mix_mu), tol, True
+    joint = sum(lam[i] * f_f_min(rhos[i], sigmas[i], spec) for i in (0, 1))
+    yield "ffmin_joint_concave", joint - f_f_min(rho_mix, sig_mix_lam, spec), tol, True
 
 
-def _suite_multiplicativity(cfg: RunConfig, canary: bool, failures, residuals):
-    tol = cfg.tolerances["multiplicativity"]
-    for trial in range(cfg.trials):
-        seed = _trial_seed(cfg.seed, "mult", trial)
-        rho = random_density(2, 2, seed)
-        sigma = random_density(2, 2, seed + 1)
-        single = f_min(rho, sigma)
-        double = f_min(tensor(rho, rho), tensor(sigma, sigma))
-        gap = abs(double - single * single)
-        if canary:
-            gap = tol * 2 + gap
-        _record(failures, residuals, "fmin_multiplicative", gap, tol, seed)
+def _suite_multiplicativity(_dim: int, seed: int, tols: dict):
+    rho = random_density(2, 2, seed)
+    sigma = random_density(2, 2, seed + 1)
+    single = f_min(rho, sigma)
+    double = f_min(tensor(rho, rho), tensor(sigma, sigma))
+    yield "fmin_multiplicative", abs(double - single * single), tols["multiplicativity"], False
 
 
-def _suite_geometry(cfg: RunConfig, canary: bool, failures, residuals):
-    sign = -1.0 if canary else 1.0
-    for trial in range(cfg.trials):
-        dim = cfg.dims[trial % len(cfg.dims)]
-        seed = _trial_seed(cfg.seed, "geom", trial)
-        rho, vel = random_tangent(dim, seed)
-        tp = TangentPoint(rho, vel)
-        rep = fisher_both(tp)
-        _record(
-            failures,
-            residuals,
-            "rld_dominates_sld",
-            sign * (rep.j_sld - rep.j_rld),
-            cfg.tolerances["fisher_order"],
-            seed,
-        )
-        _, p, dp = tangent_reverse_estimation(tp)
-        _record(
-            failures,
-            residuals,
-            "tangent_fisher_matches_rld",
-            abs(classical_fisher(p, dp) - rep.j_rld),
-            cfg.tolerances["tangent_fisher"],
-            seed,
-        )
-        sigma = random_density(dim, dim, seed + 7)
-        curve = fmin_geodesic(rho, sigma, n_samples=33)
-        half = 0.5 * curve_length(curve, metric="rld")
-        _record(
-            failures,
-            residuals,
-            "geodesic_half_length",
-            abs(half - math.acos(min(max(f_min(rho, sigma), 0.0), 1.0))),
-            cfg.tolerances["geodesic_length"],
-            seed,
-        )
+def _suite_geometry(dim: int, seed: int, tols: dict):
+    rho, vel = random_tangent(dim, seed)
+    tp = TangentPoint(rho, vel)
+    rep = fisher_both(tp)
+    yield "rld_dominates_sld", rep.j_sld - rep.j_rld, tols["fisher_order"], True
+    _, p, dp = tangent_reverse_estimation(tp)
+    gap = abs(classical_fisher(p, dp) - rep.j_rld)
+    yield "tangent_fisher_matches_rld", gap, tols["tangent_fisher"], False
+    sigma = random_density(dim, dim, seed + 7)
+    half = 0.5 * curve_length(fmin_geodesic(rho, sigma, n_samples=33), metric="rld")
+    gap = abs(half - math.acos(min(max(f_min(rho, sigma), 0.0), 1.0)))
+    yield "geodesic_half_length", gap, tols["geodesic_length"], False
 
 
-def _suite_reverse_tests(cfg: RunConfig, canary: bool, failures, residuals):
-    rtol = cfg.tolerances["reverse_test_residual"]
-    otol = cfg.tolerances["reverse_test_optimality"]
-    sign = -1.0 if canary else 1.0
-    for trial in range(cfg.trials):
-        dim = cfg.dims[trial % len(cfg.dims)]
-        seed = _trial_seed(cfg.seed, "rt", trial)
-        rho = random_density(dim, dim, seed)
-        sigma = random_density(dim, dim, seed + 1)
-        fmin = f_min(rho, sigma)
-        rt = minimal_reverse_test(rho, sigma)
-        rep = verify_reverse_test(rt, rho, sigma, tol=rtol)
-        _record(
-            failures,
-            residuals,
-            "minimal_rt_prepares_pair",
-            max(rep.rho_residual, rep.sigma_residual),
-            rtol,
-            seed,
-        )
-        _record(
-            failures,
-            residuals,
-            "minimal_rt_achieves_fmin",
-            abs(rt.fidelity() - fmin),
-            1e-9,
-            seed,
-        )
-        a = sample_contraction(t_operator(rho, sigma), seed + 2)
-        grt, _ = general_reverse_test(rho, sigma, a)
-        grep = verify_reverse_test(grt, rho, sigma, tol=rtol)
-        _record(
-            failures,
-            residuals,
-            "general_rt_prepares_pair",
-            max(grep.rho_residual, grep.sigma_residual),
-            rtol,
-            seed,
-        )
-        _record(
-            failures,
-            residuals,
-            "general_rt_below_fmin",
-            sign * (grt.fidelity() - fmin),
-            otol,
-            seed,
-        )
+def _suite_reverse_tests(dim: int, seed: int, tols: dict):
+    rtol = tols["reverse_test_residual"]
+    rho = random_density(dim, dim, seed)
+    sigma = random_density(dim, dim, seed + 1)
+    fmin = f_min(rho, sigma)
+    rt = minimal_reverse_test(rho, sigma)
+    rep = verify_reverse_test(rt, rho, sigma, tol=rtol)
+    yield "minimal_rt_prepares_pair", max(rep.rho_residual, rep.sigma_residual), rtol, False
+    yield "minimal_rt_achieves_fmin", abs(rt.fidelity() - fmin), 1e-9, False
+    a = sample_contraction(t_operator(rho, sigma), seed + 2)
+    grt, _ = general_reverse_test(rho, sigma, a)
+    grep = verify_reverse_test(grt, rho, sigma, tol=rtol)
+    yield "general_rt_prepares_pair", max(grep.rho_residual, grep.sigma_residual), rtol, False
+    yield "general_rt_below_fmin", grt.fidelity() - fmin, tols["reverse_test_optimality"], True
 
 
+# suite name -> (seed tag, checks of one trial), in the order "all" runs them
 _SUITES = {
-    "monotonicity": _suite_monotonicity,
-    "sandwich": _suite_sandwich,
-    "concavity": _suite_concavity,
-    "multiplicativity": _suite_multiplicativity,
-    "geometry": _suite_geometry,
-    "reverse-tests": _suite_reverse_tests,
+    "monotonicity": ("mono", _suite_monotonicity),
+    "sandwich": ("sandwich", _suite_sandwich),
+    "concavity": ("concave", _suite_concavity),
+    "multiplicativity": ("mult", _suite_multiplicativity),
+    "geometry": ("geom", _suite_geometry),
+    "reverse-tests": ("rt", _suite_reverse_tests),
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, cfg: RunConfig, canary: bool = False) -> SuiteReport:
+    """Run one suite, or all of them, for cfg.trials trials each.
+
+    Trial k runs at dims[k % len(dims)] with a seed derived from cfg.seed, the
+    suite and k. A canary run must fail every suite: it negates each signed
+    residual and raises each unsigned one by twice its tolerance.
+    """
     if name != "all" and name not in _SUITES:
         raise ValidationError(f"unknown suite {name!r}")
     failures: list = []
     residuals: dict = {}
     start = time.perf_counter()
-    for key in (_SUITES if name == "all" else {name: _SUITES[name]}):
-        _SUITES[key](cfg, canary, failures, residuals)
+    for tag, checks in _SUITES.values() if name == "all" else [_SUITES[name]]:
+        for trial in range(cfg.trials):
+            seed = _trial_seed(cfg.seed, tag, trial)
+            for invariant, value, tol, signed in checks(
+                cfg.dims[trial % len(cfg.dims)], seed, cfg.tolerances
+            ):
+                if canary:
+                    value = -value if signed else value + 2 * tol
+                residuals[invariant] = max(residuals.get(invariant, 0.0), value)
+                if value > tol:
+                    failures.append({"invariant": invariant, "residual": value, "seed": seed})
     return SuiteReport(
         suite=name,
         trials=cfg.trials,
@@ -518,117 +406,16 @@ def cmd_suite(args) -> int:
         tolerances=_merged_tolerances(args.tol),
     )
     report = run_suite(args.name, cfg, canary=args.canary_negate)
-    text = report.to_json() + "\n"
-    sys.stdout.write(text)
-    _write_out(text, args.out)
+    _emit([report.to_json()], args.out)
     return EXIT_OK if report.passed else EXIT_SUITE
-
-
-# ---------------------------------------------------------- counterexamples
-
-
-def _triangle_states(theta: float):
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    psi = PureState(np.array([c, s]))
-    phi = PureState(np.array([c, -s]))
-    tau = make_density(np.diag([c, s]) / (c + s))
-    return psi, phi, tau, c, s
-
-
-def cmd_counterexample(args) -> int:
-    theta = args.theta
-    if not 0.0 < theta < math.pi / 2.0 + 1e-12:
-        raise ValidationError(f"theta must lie in (0, pi/2], got {theta}")
-    psi, phi, tau, c, s = _triangle_states(theta)
-    lines = [f"theta {fmt(theta)}"]
-    if args.name == "triangle-fmin":
-        f_psi_phi = f_min_pure(psi.projector(), phi)
-        f_leg = f_min_pure(tau, psi)
-        lines.append(f"fmin_psi_phi {fmt(f_psi_phi)}")
-        lines.append(f"fmin_psi_tau {fmt(f_leg)}")
-        lines.append(f"fmin_phi_tau {fmt(f_min_pure(tau, phi))}")
-        defect = math.acos(min(max(f_psi_phi, 0.0), 1.0)) - 2.0 * math.acos(f_leg)
-        lines.append(f"angle_defect {fmt(defect)}")
-        boundary = theta > math.pi / 2.0 - 1e-9
-        violated = defect > 0.0
-        lines.append(f"violation {'yes' if violated else 'no'}")
-        text = "\n".join(lines) + "\n"
-        sys.stdout.write(text)
-        _write_out(text, args.out)
-        if boundary:
-            return EXIT_OK
-        return EXIT_OK if violated else EXIT_SUITE
-    if args.name == "triangle-deltamax":
-        delta_direct = 1.0  # distinct pure states are perfectly distinguishable
-        f_leg = f_min_pure(tau, psi)
-        bound = 2.0 * math.sqrt(max(1.0 - f_leg * f_leg, 0.0))
-        lines.append(f"delta_max_psi_phi {fmt(delta_direct)}")
-        lines.append(f"fmin_psi_tau {fmt(f_leg)}")
-        lines.append(f"detour_upper_bound {fmt(bound)}")
-        lines.append(f"triangle_defect {fmt(delta_direct - bound)}")
-        violated = delta_direct > bound
-        lines.append(f"violation {'yes' if violated else 'no'}")
-        text = "\n".join(lines) + "\n"
-        sys.stdout.write(text)
-        _write_out(text, args.out)
-        return EXIT_OK if violated else EXIT_SUITE
-    raise ValidationError(f"unknown counterexample {args.name!r}")
-
-
-# ---------------------------------------------------------------- geodesic
-
-
-def cmd_geodesic(args) -> int:
-    rho = load_state(args.files[0])
-    sigma = load_state(args.files[1])
-    curve = fmin_geodesic(rho, sigma, n_samples=args.samples)
-    dim = rho.dim
-    speeds = []
-    for state, vel in zip(curve.states, curve.velocities):
-        j = rld_fisher(TangentPoint(state, vel)).j_rld
-        speeds.append(math.sqrt(max(j, 0.0)))
-    if f_min(rho, sigma) >= 1.0 - 1e-12:
-        rows = [(0.0, curve.states[0], 0.0, 0.0)]
-    else:
-        cum = np.concatenate(
-            [[0.0], cumulative_trapezoid(np.array(speeds), x=curve.times)]
-        )
-        rows = [
-            (t, st, sp * sp, cl)
-            for t, st, sp, cl in zip(curve.times, curve.states, speeds, cum)
-        ]
-    header = ["t"]
-    for i in range(dim):
-        for j in range(dim):
-            header += [f"rho_re_{i}_{j}", f"rho_im_{i}_{j}"]
-    header += ["j_rld", "cumulative_length"]
-    lines = [",".join(header)]
-    for t, state, jval, cl in rows:
-        cells = [f"{t:.12g}"]
-        for i in range(dim):
-            for j in range(dim):
-                cells += [f"{state.mat[i, j].real:.12g}", f"{state.mat[i, j].imag:.12g}"]
-        cells += [f"{jval:.12g}", f"{cl:.12g}"]
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_out(text, args.out)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
-
-
-# ------------------------------------------------------------------ main
 
 
 def _merged_tolerances(pairs: list[str] | None) -> dict:
     tols = dict(DEFAULT_TOLERANCES)
     for item in pairs or []:
-        if "=" not in item:
+        name, eq, value = item.partition("=")
+        if not eq:
             raise ValidationError(f"--tol expects name=value, got {item!r}")
-        name, _, value = item.partition("=")
-        if name not in tols:
-            raise ValidationError(f"unknown tolerance {name!r}")
         try:
             tols[name] = float(value)
         except ValueError as exc:
@@ -636,26 +423,88 @@ def _merged_tolerances(pairs: list[str] | None) -> dict:
     return tols
 
 
+# ---------------------------------------------------------- counterexamples
+
+
+def triangle_quantities(theta: float) -> dict[str, float]:
+    """The triangle counterexamples at opening angle theta, built on the pure
+    states psi, phi = cos(theta/2)|0> +- sin(theta/2)|1> and the diagonal
+    detour state tau; a positive defect is a violation."""
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    psi = PureState(np.array([c, s]))
+    phi = PureState(np.array([c, -s]))
+    tau = make_density(np.diag([c, s]) / (c + s))
+    direct = f_min_pure(psi.projector(), phi)
+    leg = f_min_pure(tau, psi)
+    bound = 2.0 * math.sqrt(max(1.0 - leg * leg, 0.0))
+    return {
+        "fmin_psi_phi": direct,
+        "fmin_psi_tau": leg,
+        "fmin_phi_tau": f_min_pure(tau, phi),
+        "angle_defect": math.acos(min(max(direct, 0.0), 1.0)) - 2.0 * math.acos(leg),
+        "delta_max_psi_phi": 1.0,  # distinct pure states are perfectly distinguishable
+        "detour_upper_bound": bound,
+        "triangle_defect": 1.0 - bound,
+    }
+
+
+# counterexample -> the quantities it prints, its defect last
+_COUNTEREXAMPLES = {
+    "triangle-fmin": ("fmin_psi_phi", "fmin_psi_tau", "fmin_phi_tau", "angle_defect"),
+    "triangle-deltamax": (
+        "delta_max_psi_phi",
+        "fmin_psi_tau",
+        "detour_upper_bound",
+        "triangle_defect",
+    ),
+}
+
+
+def cmd_counterexample(args) -> int:
+    theta = args.theta
+    if not 0.0 < theta < math.pi / 2.0 + 1e-12:
+        raise ValidationError(f"theta must lie in (0, pi/2], got {theta}")
+    quantities = triangle_quantities(theta)
+    names = _COUNTEREXAMPLES[args.name]
+    violated = quantities[names[-1]] > 0.0
+    lines = [f"theta {fmt(theta)}"]
+    lines += [f"{name} {fmt(quantities[name])}" for name in names]
+    lines.append(f"violation {'yes' if violated else 'no'}")
+    _emit(lines, args.out)
+    # at theta = pi/2 the fmin triangle is tight and is reported without assertion
+    boundary = args.name == "triangle-fmin" and theta > math.pi / 2.0 - 1e-9
+    return EXIT_OK if violated or boundary else EXIT_SUITE
+
+
+# ---------------------------------------------------------------- geodesic
+
+
+def cmd_geodesic(args) -> int:
+    rho, sigma = load_state(args.files[0]), load_state(args.files[1])
+    curve = fmin_geodesic(rho, sigma, n_samples=args.samples)
+    speeds = curve_speeds(curve, "rld")
+    lengths = cumulative_trapezoid(speeds, x=curve.times, initial=0.0)
+    rows = zip(curve.times, curve.states, speeds, lengths)
+    if not speeds.any():  # equal endpoints: the curve stands still
+        rows = [(0.0, rho, 0.0, 0.0)]
+    columns = [f"rho_{part}_{i}_{j}" for i, j in np.ndindex(rho.mat.shape) for part in ("re", "im")]
+    lines = [",".join(["t", *columns, "j_rld", "cumulative_length"])]
+    for t, state, speed, length in rows:
+        entries = [x for z in state.mat.ravel() for x in (z.real, z.imag)]
+        lines.append(",".join(f"{x:.12g}" for x in [t, *entries, speed * speed, length]))
+    _emit(lines, args.out, tee=False)
+    return EXIT_OK
+
+
+# ------------------------------------------------------------------ main
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="revfid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("compute", help="evaluate one quantity on state files")
-    pc.add_argument(
-        "quantity",
-        choices=[
-            "fidelity",
-            "fmin",
-            "fmin-geomean",
-            "ffmin",
-            "dr-entropy",
-            "trace-distance",
-            "delta-max-bounds",
-            "sld",
-            "rld",
-            "fr-estimate",
-        ],
-    )
+    pc.add_argument("quantity", choices=list(_STATE_QUANTITIES | _DISTRIBUTION_QUANTITIES))
     pc.add_argument("files", nargs=2, help="two JSON input files")
     pc.add_argument("--alpha", type=float, default=0.5)
     pc.add_argument("--seed", type=int, default=0)
@@ -675,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_suite)
 
     px = sub.add_parser("counterexample", help="reproduce a triangle counterexample")
-    px.add_argument("name", choices=["triangle-fmin", "triangle-deltamax"])
+    px.add_argument("name", choices=list(_COUNTEREXAMPLES))
     px.add_argument("--theta", type=float, required=True)
     px.add_argument("--out", default=None)
     px.set_defaults(func=cmd_counterexample)

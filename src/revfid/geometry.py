@@ -19,6 +19,7 @@ from .errors import DomainError, ValidationError
 from .linalg import HermitianMatrix, hermitian_part
 from .reverse_tests import minimal_reverse_test
 from .states import (
+    FULL_RANK_MIN_EIG,
     DensityMatrix,
     ProbDist,
     SignedVector,
@@ -197,38 +198,53 @@ def _resample(curve: Curve, panels: int) -> Curve:
 
 
 def curve_length(curve: Curve, metric: str = "rld", panels: int | None = None) -> float:
-    """Integral of sqrt(J_t) along the curve by composite Simpson quadrature.
-
-    Velocities missing from the curve are filled by finite differences.
-    """
-    if metric not in ("sld", "rld"):
-        raise ValidationError(f"metric must be 'sld' or 'rld', got {metric!r}")
+    """Integral of sqrt(J_t) along the curve by composite Simpson quadrature."""
     if panels is not None:
         curve = _resample(curve, panels)
     if len(curve.states) < 3:
         if len(curve.states) == 1:
             return 0.0
         raise ValidationError("need at least 3 samples for quadrature")
+    return float(simpson(curve_speeds(curve, metric), x=curve.times))
+
+
+def curve_speeds(curve: Curve, metric: str = "rld") -> np.ndarray:
+    """sqrt(J_t) at every sample, in each state's stored eigenbasis.
+
+    Velocities missing from the curve are filled by finite differences. Where
+    an eigenvalue lies below the full-rank cut and the velocity vanishes on
+    its eigenvector, J is 0/0: the speed there is extrapolated linearly from
+    the regular samples, which is exact on the constant-speed f_min geodesic.
+    A velocity component off the support of a singular state has no finite
+    metric.
+    """
+    if metric not in ("sld", "rld"):
+        raise ValidationError(f"metric must be 'sld' or 'rld', got {metric!r}")
     vels = curve.velocities
     vels = _fd_velocities(curve) if vels is None else np.array([v.entries for v in vels])
-    j = _metric_speeds_squared(curve.states, vels, metric)
-    return float(simpson(np.sqrt(np.maximum(j, 0.0)), x=curve.times))
-
-
-def _metric_speeds_squared(states: Sequence[DensityMatrix], vels: np.ndarray, metric: str) -> np.ndarray:
-    """J at every sample, in each state's stored eigenbasis, with the boundary
-    limit where the velocity vanishes together with an eigenvalue; a velocity
-    component off the support of a singular state has no finite metric."""
-    w = np.maximum(np.array([s.spectrum.eigenvalues for s in states]), 1e-290)
-    v = np.array([s.spectrum.frame for s in states])
+    w = np.array([s.spectrum.eigenvalues for s in curve.states])
+    v = np.array([s.spectrum.frame for s in curve.states])
     d = np.abs(v.conj().swapaxes(1, 2) @ vels @ v) ** 2
+    kernel = w < FULL_RANK_MIN_EIG
+    vanishing = ~kernel[:, None, :] | (d <= FULL_RANK_MIN_EIG**2)
+    limit = kernel.any(axis=1) & vanishing.all(axis=(1, 2))
+    w = np.maximum(w, 1e-290)
     if metric == "rld":
         j = np.sum(d / w[:, None, :], axis=(1, 2))
     else:
         j = np.sum(2.0 * d / (w[:, :, None] + w[:, None, :]), axis=(1, 2))
+    j[limit] = 0.0
     if not np.all(np.isfinite(j)) or np.any(j > 1e15):
         raise DomainError("metric undefined: velocity leaves the support of a singular state")
-    return j
+    speeds = np.sqrt(np.maximum(j, 0.0))
+    if limit.any():
+        if np.count_nonzero(~limit) < 2:
+            raise DomainError("metric undefined: fewer than two samples off the boundary")
+        t, reg = curve.times, np.flatnonzero(~limit)
+        k = np.clip(np.searchsorted(t[reg], t[limit]) - 1, 0, len(reg) - 2)
+        a, b = reg[k], reg[k + 1]
+        speeds[limit] = speeds[a] + (t[limit] - t[a]) * (speeds[b] - speeds[a]) / (t[b] - t[a])
+    return speeds
 
 
 def geodesic_start(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[GeodesicState, float]:

@@ -1,5 +1,5 @@
-"""Dense Hermitian linear algebra: spectral calculus, PSD utilities,
-geometric mean and trace norm.
+"""Dense Hermitian linear algebra: spectral calculus, PSD square roots,
+geometric means and trace norm.
 
 Every operation symmetrizes its input as (H + H†)/2 before decomposing,
 so floating-point drift never leaks non-Hermitian parts downstream.
@@ -15,8 +15,8 @@ import numpy as np
 from .errors import DimensionMismatchError, DomainError, NotPsdError, ValidationError
 
 # Eigenvalues above -PSD_TOL_FACTOR * ||H||_F are clipped to zero; anything
-# lower is a hard PSD violation.  Shared by sqrt/pinv/geometric mean so all
-# callers agree on the cone boundary.
+# lower is a hard PSD violation.  Shared by the square root, the support maps
+# and the geometric means so all callers agree on the cone boundary.
 PSD_TOL_FACTOR = 1e-10
 STRICT_POS_FACTOR = 1e-12
 
@@ -98,19 +98,6 @@ def map_spectrum(w: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
     return fw
 
 
-def apply_spectral(H, f: Callable[[float], float]) -> HermitianMatrix:
-    """Apply a scalar real map through the eigenbasis of H."""
-    dec = eig_hermitian(H)
-    return HermitianMatrix((dec.frame * map_spectrum(dec.eigenvalues, f)) @ dec.frame.conj().T)
-
-
-def psd_check(H) -> PsdReport:
-    H = _hermitian(H)
-    w = np.linalg.eigvalsh(H.entries)
-    tol = PSD_TOL_FACTOR * max(1.0, H.fro_norm())
-    return PsdReport(is_psd=bool(w[0] >= -tol), min_eigenvalue=float(w[0]), tolerance_used=tol)
-
-
 def psd_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigensystem of a Hermitian array, negative eigenvalues clipped to zero;
     raises NotPsdError below -PSD_TOL_FACTOR * max(1, ||a||_F)."""
@@ -134,23 +121,6 @@ def matrix_sqrt(P) -> HermitianMatrix:
     """Principal square root of a PSD matrix."""
     w, v = psd_eigh(_hermitian(P).entries)
     return HermitianMatrix((v * np.sqrt(w)) @ v.conj().T)
-
-
-def matrix_pinv(P) -> HermitianMatrix:
-    """Moore-Penrose inverse of a PSD matrix; acts as 0 on the kernel."""
-    w, v = psd_eigh(_hermitian(P).entries)
-    return HermitianMatrix((v * support_inverse_power(w, 1.0)) @ v.conj().T)
-
-
-def matrix_pinv_sqrt(P) -> HermitianMatrix:
-    """Moore-Penrose inverse of the square root of a PSD matrix."""
-    w, v = psd_eigh(_hermitian(P).entries)
-    return HermitianMatrix((v * support_inverse_power(w, 0.5)) @ v.conj().T)
-
-
-def support_projector(P) -> HermitianMatrix:
-    w, v = psd_eigh(_hermitian(P).entries)
-    return HermitianMatrix((v * support_inverse_power(w, 0.0)) @ v.conj().T)
 
 
 def _require_strictly_positive(A: HermitianMatrix, *, what: str = "matrix") -> None:
@@ -187,7 +157,13 @@ def weighted_geometric_mean(A, B, alpha: float) -> HermitianMatrix:
     if A.dim != B.dim:
         raise DimensionMismatchError(f"dimension mismatch: {A.dim} vs {B.dim}")
     _require_strictly_positive(A, what="first argument of weighted_geometric_mean")
-    power = lambda h: apply_spectral(h, lambda t: max(t, 0.0) ** alpha)
+
+    def power(h: HermitianMatrix) -> HermitianMatrix:
+        w, v = psd_eigh(h.entries)
+        # scalar pow per eigenvalue: numpy's array power rounds some values differently
+        fw = map_spectrum(w, lambda t: t**alpha)
+        return HermitianMatrix(SpectralDecomposition(w, v).function(fw))
+
     return HermitianMatrix(geometric_mean_from_sqrt(matrix_sqrt(A).entries, B.entries, power))
 
 

@@ -10,6 +10,7 @@ from revfid.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_SUITE,
+    SUITE_NAMES,
     RunConfig,
     main,
     run_suite,
@@ -81,6 +82,55 @@ def test_compute_fr_estimate_sandwich(state_files, capsys):
     assert fr == pytest.approx(math.sqrt(0.4) + math.sqrt(0.1), abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["fmin-geomean"], "0.948683298051"),
+        (["ffmin", "--alpha", "0.3"], "0.955541847279"),  # sum p^0.7 q^0.3
+        (["dr-entropy"], "0.223143551314"),  # KL(p || q) for commuting states
+        (["trace-distance"], "0.300000000000"),
+    ],
+)
+def test_compute_closed_forms_commuting(state_files, capsys, argv, expected):
+    code = main(["compute", argv[0], state_files["rho"], state_files["sigma"], *argv[1:]])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.strip() == expected
+
+
+@pytest.mark.parametrize(
+    "quantity, expected", [("fmin", "0.948683298051"), ("trace-distance", "0.300000000000")]
+)
+def test_compute_distribution_files(tmp_path, capsys, quantity, expected):
+    p = tmp_path / "p.json"
+    q = tmp_path / "q.json"
+    p.write_text(json.dumps({"p": [0.5, 0.5]}))
+    q.write_text(json.dumps({"p": [0.8, 0.2]}))
+    assert main(["compute", quantity, str(p), str(q)]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "delta-max-bounds"],
+        ["suite", "multiplicativity", "--trials", "2"],
+        ["counterexample", "triangle-deltamax", "--theta", "0.2"],
+    ],
+)
+def test_out_file_matches_stdout(state_files, tmp_path, capsys, argv):
+    out = tmp_path / "out.txt"
+    files = [state_files["rho"], state_files["sigma"]] if argv[0] == "compute" else []
+    main([*argv, *files, "--out", str(out)])
+    assert out.read_text() == capsys.readouterr().out
+
+
+def test_unwritable_out_exits_2(state_files, tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "out.txt"
+    code = main(["compute", "fmin", state_files["rho"], state_files["sigma"], "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert "missing-dir" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(state_files, capsys):
     assert main(["compute", "fmin", state_files["rho"], "no-such-file.json"]) == EXIT_INPUT
     assert "input error" in capsys.readouterr().err
@@ -135,6 +185,13 @@ def test_suite_canary_fails(capsys):
     assert report["failures"]
 
 
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_suite_canary_fails_every_suite(capsys, name):
+    code = main(["suite", name, "--trials", "1", "--seed", "1", "--dims", "2", "--canary-negate"])
+    assert code == EXIT_SUITE
+    assert json.loads(capsys.readouterr().out)["failures"]
+
+
 def test_suite_tolerance_override(capsys):
     # absurdly tight tolerance forces failures -> exit 4
     code = main(
@@ -152,6 +209,28 @@ def test_run_config_validation():
         RunConfig(trials=0)
     with pytest.raises(ValidationError):
         RunConfig(dims=(1,))
+
+
+def test_run_config_rejects_empty_dims():
+    # run_suite cycles trials over dims: an empty tuple divided by zero
+    with pytest.raises(ValidationError, match="dims"):
+        RunConfig(dims=())
+
+
+def test_run_config_rejects_missing_and_unknown_tolerances():
+    tols = dict(DEFAULT_TOLERANCES)
+    del tols["sandwich"]
+    with pytest.raises(ValidationError, match="missing tolerance 'sandwich'"):
+        RunConfig(tolerances=tols)
+    with pytest.raises(ValidationError, match="unknown tolerance 'nonsense'"):
+        RunConfig(tolerances={**DEFAULT_TOLERANCES, "nonsense": 1.0})
+
+
+def test_suite_nan_tolerance_exits_2(capsys):
+    # value > nan is always false: a NaN tolerance would switch every check off
+    code = main(["suite", "monotonicity", "--trials", "1", "--tol", "monotonicity=nan"])
+    assert code == EXIT_INPUT
+    assert "NaN" in capsys.readouterr().err
 
 
 def test_run_suite_all_smoke():
@@ -207,6 +286,21 @@ def test_geodesic_csv(state_files, tmp_path, capsys):
     theta = math.acos(math.sqrt(0.4) + math.sqrt(0.1))
     for row in lines[1:]:
         assert float(row.split(",")[-2]) == pytest.approx((2 * theta) ** 2, abs=1e-9)
+
+
+def test_geodesic_pure_target(tmp_path, capsys):
+    # sigma = |0><0| is singular at t = 1, where the velocity vanishes on its kernel
+    rho = tmp_path / "rho.json"
+    pure = tmp_path / "pure.json"
+    rho.write_text(json.dumps({"dim": 2, "re": [[0.6, 0.1], [0.1, 0.4]]}))
+    pure.write_text(json.dumps({"dim": 2, "re": [[1.0, 0.0], [0.0, 0.0]]}))
+    assert main(["geodesic", str(rho), str(pure)]) == EXIT_OK
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    theta = math.acos(math.sqrt(0.23 / 0.4))  # f_min(rho, |0><0|) = <0|rho^-1|0>^-1/2
+    assert len(rows) == 33
+    for row in rows:
+        assert float(row[-2]) == pytest.approx((2 * theta) ** 2, abs=1e-9)
+    assert 0.5 * float(rows[-1][-1]) == pytest.approx(theta, abs=1e-6)
 
 
 def test_geodesic_identical_endpoints(state_files, capsys):

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import simpson
 from scipy.linalg import solve_sylvester
 
-from revfid.divergences import f_min, uhlmann_fidelity
+from revfid.divergences import f_min, f_min_pure, uhlmann_fidelity
 from revfid.errors import DomainError, SingularStateError, ValidationError
 from revfid.geometry import (
     Curve,
@@ -16,6 +16,7 @@ from revfid.geometry import (
     classical_fisher,
     commutative_geodesic_flow,
     curve_length,
+    curve_speeds,
     expansion_check,
     fisher_both,
     fmin_geodesic,
@@ -36,6 +37,7 @@ from revfid.geometry import (
 from revfid.linalg import HermitianMatrix
 from revfid.states import (
     DensityMatrix,
+    PureState,
     make_density,
     random_density,
     random_tangent,
@@ -269,6 +271,25 @@ def test_curve_length_velocity_off_support_matches_sample_loop():
         with pytest.raises(DomainError) as got:
             curve_length(curve, metric)
         assert str(got.value) == str(ref.value)
+
+
+def test_curve_length_pure_target_takes_endpoint_limit():
+    # at t = 1 an eigenvalue of |0><0| is 0 and the velocity vanishes on its
+    # eigenvector: J there is the 0/0 limit (2 theta)^2, not 0
+    rho = make_density(np.array([[0.6, 0.1], [0.1, 0.4]]))
+    phi = PureState(np.array([1.0, 0.0]))
+    curve = fmin_geodesic(rho, phi.projector(), 33)
+    theta = math.acos(f_min_pure(rho, phi))
+    assert abs(0.5 * curve_length(curve, "rld") - theta) < 1e-6
+    assert np.allclose(curve_speeds(curve, "rld"), 2 * theta, rtol=0.0, atol=1e-9)
+
+
+def test_curve_speeds_limit_needs_two_regular_samples():
+    pure = make_density(np.diag([1.0, 0.0]))
+    still = HermitianMatrix(np.zeros((2, 2)))
+    curve = Curve(np.array([0.0, 0.5, 1.0]), (random_density(2, 2, 1), pure, pure), (still,) * 3)
+    with pytest.raises(DomainError, match="fewer than two samples"):
+        curve_speeds(curve, "rld")
 
 
 # ---------------------------------------------------------------- flows

@@ -4,14 +4,10 @@ import pytest
 from revfid.errors import DimensionMismatchError, DomainError, NotPsdError, ValidationError
 from revfid.linalg import (
     HermitianMatrix,
-    apply_spectral,
     eig_hermitian,
     geometric_mean,
-    matrix_pinv,
-    matrix_pinv_sqrt,
+    map_spectrum,
     matrix_sqrt,
-    psd_check,
-    support_projector,
     trace_norm,
     weighted_geometric_mean,
 )
@@ -51,20 +47,9 @@ def test_eig_reconstruct():
     assert np.allclose(dec.reconstruct(), h.entries)
 
 
-def test_apply_spectral_sqrt():
-    out = apply_spectral(np.diag([4.0, 9.0]), np.sqrt)
-    assert np.allclose(out.entries, np.diag([2.0, 3.0]))
-
-
-def test_apply_spectral_rejects_nonfinite_image():
+def test_map_spectrum_rejects_nonfinite_image():
     with pytest.raises(DomainError):
-        apply_spectral(np.diag([-1.0, 1.0]), np.sqrt)
-
-
-def test_psd_check_reports():
-    rep = psd_check(np.diag([1.0, -1.0]))
-    assert not rep.is_psd
-    assert rep.min_eigenvalue == pytest.approx(-1.0)
+        map_spectrum(np.array([-1.0, 1.0]), np.sqrt)
 
 
 def test_matrix_sqrt_rejects_negative():
@@ -76,18 +61,6 @@ def test_matrix_sqrt_rejects_negative():
 def test_matrix_sqrt_clips_roundoff():
     out = matrix_sqrt(np.diag([1.0, -1e-14]))
     assert np.allclose(out.entries, np.diag([1.0, 0.0]), atol=1e-7)
-
-
-def test_pinv_acts_on_support():
-    p = np.diag([2.0, 0.0])
-    inv = matrix_pinv(p).entries
-    assert np.allclose(inv, np.diag([0.5, 0.0]))
-    assert np.allclose(matrix_pinv_sqrt(p).entries, np.diag([1 / np.sqrt(2), 0.0]))
-
-
-def test_support_projector():
-    proj = support_projector(np.diag([0.3, 0.0, 0.7])).entries
-    assert np.allclose(proj, np.diag([1.0, 0.0, 1.0]))
 
 
 def test_geometric_mean_identity_reduces_to_sqrt():
