@@ -147,18 +147,21 @@ def fmt(x: float) -> str:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
+    return obj
 
 
-def load_state(path: str) -> DensityMatrix:
+def _state_from(obj: dict, path: str) -> DensityMatrix:
     """JSON object {"dim": n, "re": [[...]], "im": [[...]]}, row-major."""
-    obj = _load_json(path)
+    m = _matrix_from(obj, path)
     try:
-        return make_density(_matrix_from(obj, path))
+        return make_density(m)
     except RevfidError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
@@ -166,31 +169,29 @@ def load_state(path: str) -> DensityMatrix:
 def _matrix_from(obj: dict, path: str) -> np.ndarray:
     if "re" not in obj:
         raise ValidationError(f"{path}: missing 're' field")
-    dim = int(obj.get("dim", len(obj["re"])))
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
+    try:
+        dim = int(obj.get("dim", len(obj["re"])))
+        re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed numeric field: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValidationError(f"{path}: matrix shape does not match dim {dim}")
     return re + 1j * im
 
 
-def load_hermitian(path: str) -> HermitianMatrix:
-    obj = _load_json(path)
+def _hermitian_from(obj: dict, path: str) -> HermitianMatrix:
     return HermitianMatrix(_matrix_from(obj, path))
 
 
-def load_prob(path: str) -> ProbDist:
-    obj = _load_json(path)
+def _prob_from(obj: dict, path: str) -> ProbDist:
+    """JSON object {"p": [...]}."""
     if "p" not in obj:
         raise ValidationError(f"{path}: missing 'p' field")
     try:
         return ProbDist(np.asarray(obj["p"], dtype=float))
-    except RevfidError as exc:
+    except (RevfidError, TypeError, ValueError) as exc:  # TypeError, ValueError: malformed numbers
         raise ValidationError(f"{path}: {exc}") from exc
-
-
-def _is_prob_file(path: str) -> bool:
-    return "p" in _load_json(path)
 
 
 def _emit(lines: list[str], out: str | None, tee: bool = True) -> None:
@@ -242,11 +243,12 @@ _DISTRIBUTION_QUANTITIES = {
 
 def cmd_compute(args) -> int:
     q, (first, second) = args.quantity, args.files
-    if q in _DISTRIBUTION_QUANTITIES and _is_prob_file(first):
-        value = _DISTRIBUTION_QUANTITIES[q](load_prob(first), load_prob(second))
+    obj = _load_json(first)
+    if q in _DISTRIBUTION_QUANTITIES and "p" in obj:
+        value = _DISTRIBUTION_QUANTITIES[q](_prob_from(obj, first), _prob_from(_load_json(second), second))
     else:
-        load_second = load_hermitian if q in ("sld", "rld") else load_state
-        value = _STATE_QUANTITIES[q](load_state(first), load_second(second), args)
+        second_from = _hermitian_from if q in ("sld", "rld") else _state_from
+        value = _STATE_QUANTITIES[q](_state_from(obj, first), second_from(_load_json(second), second), args)
     _emit(value if isinstance(value, list) else [fmt(value)], args.out)
     return EXIT_OK
 
@@ -480,7 +482,7 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
-    rho, sigma = load_state(args.files[0]), load_state(args.files[1])
+    rho, sigma = (_state_from(_load_json(path), path) for path in args.files)
     curve = fmin_geodesic(rho, sigma, n_samples=args.samples)
     speeds = curve_speeds(curve, "rld")
     lengths = cumulative_trapezoid(speeds, x=curve.times, initial=0.0)

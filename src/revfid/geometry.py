@@ -250,15 +250,11 @@ def curve_speeds(curve: Curve, metric: str = "rld") -> np.ndarray:
 def geodesic_start(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[GeodesicState, float]:
     """Unit-speed initial data (rho, L0) for the commutative geodesic flow,
     plus the total arc time 2 arccos F_min."""
-    curve = fmin_geodesic(rho, sigma, n_samples=3)
-    v0 = curve.velocities[0].entries
-    inv = np.linalg.inv(rho.mat)
-    j0 = float(np.trace(v0 @ inv @ v0).real)
-    if j0 <= 1e-18:
+    fisher = rld_fisher(TangentPoint(rho, fmin_geodesic(rho, sigma, n_samples=3).velocities[0]))
+    if fisher.j_rld <= 1e-18:
         return GeodesicState(rho, np.zeros_like(rho.mat)), 0.0
-    total = math.sqrt(j0)
-    l0 = (v0 @ inv) / total
-    return GeodesicState(rho, l0), total
+    total = math.sqrt(fisher.j_rld)
+    return GeodesicState(rho, fisher.rld / total), total
 
 
 def _check_flow_start(start: GeodesicState) -> None:

@@ -21,12 +21,17 @@ PSD_TOL_FACTOR = 1e-10
 STRICT_POS_FACTOR = 1e-12
 
 
+def require_finite(a: np.ndarray, what: str) -> None:
+    """ValidationError unless every entry of ``a`` is finite (NaN fails
+    every comparison a later check would make)."""
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what} has non-finite entries")
+
+
 def _as_square_complex(entries) -> np.ndarray:
     a = np.asarray(entries, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
-        raise ValidationError("matrix has non-finite entries")
     return a
 
 
@@ -42,8 +47,10 @@ class HermitianMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", hermitian_part(_as_square_complex(self.entries)))
-        self.entries.setflags(write=False)
+        h = hermitian_part(_as_square_complex(self.entries))
+        require_finite(h, "matrix")  # after symmetrizing, which overflows near the float maximum
+        h.setflags(write=False)
+        object.__setattr__(self, "entries", h)
 
     @property
     def dim(self) -> int:
@@ -170,4 +177,5 @@ def weighted_geometric_mean(A, B, alpha: float) -> HermitianMatrix:
 def trace_norm(X) -> float:
     """Sum of singular values of an arbitrary complex square matrix."""
     a = _as_square_complex(X.entries if isinstance(X, HermitianMatrix) else X)
+    require_finite(a, "matrix")
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))

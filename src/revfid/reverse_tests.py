@@ -15,7 +15,7 @@ import numpy as np
 
 from .divergences import classical_fidelity, f_min_pure, t_spectrum, uhlmann_fidelity
 from .errors import DomainError, RevfidError, ValidationError
-from .linalg import HermitianMatrix, hermitian_part, psd_eigh, support_inverse_power, trace_norm
+from .linalg import HermitianMatrix, hermitian_part, psd_eigh, require_finite, support_inverse_power, trace_norm
 from .states import DensityMatrix, ProbDist, PureState, make_density, rng_for
 
 COLUMN_NORM_TOL = 1e-9
@@ -34,6 +34,7 @@ class ReverseTest:
         n = np.asarray(self.prep, dtype=complex)
         if n.ndim != 2:
             raise ValidationError("prep must be a dim x m matrix")
+        require_finite(n, "prep matrix")
         if n.shape[1] != self.p.size or n.shape[1] != self.q.size:
             raise ValidationError("prep column count must match p and q sizes")
         norms = np.linalg.norm(n, axis=0)

@@ -15,7 +15,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularStateError, ValidationError
-from .linalg import HermitianMatrix, SpectralDecomposition, hermitian_part, trace_norm
+from .linalg import (
+    HermitianMatrix,
+    SpectralDecomposition,
+    _as_square_complex,
+    hermitian_part,
+    require_finite,
+    trace_norm,
+)
 
 TRACE_TOL = 1e-8
 EIG_TOL = 1e-8
@@ -78,6 +85,7 @@ class PureState:
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        require_finite(a, "state vector")
         n = np.linalg.norm(a)
         if abs(n - 1.0) > 1e-8:
             raise ValidationError(f"state vector norm {n} deviates from 1")
@@ -101,6 +109,7 @@ class ProbDist:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).reshape(-1)
+        require_finite(w, "probability vector")
         if w.min(initial=0.0) < -1e-10:
             raise ValidationError(f"negative weight {w.min()} in probability vector")
         w = np.clip(w, 0.0, None)
@@ -125,6 +134,7 @@ class SignedVector:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).reshape(-1)
+        require_finite(v, "signed vector")
         if abs(v.sum() - self.total) > 1e-9:
             raise ValidationError(f"values sum to {v.sum()}, declared total {self.total}")
         v.setflags(write=False)
@@ -148,6 +158,7 @@ class Channel:
         shape = ks[0].shape
         if any(k.shape != shape for k in ks):
             raise ValidationError("Kraus operators have inconsistent shapes")
+        require_finite(np.stack(ks), "Kraus operator")
         comp = sum(k.conj().T @ k for k in ks)
         if np.linalg.norm(comp - np.eye(shape[1])) > 1e-8:
             raise ValidationError("Kraus operators do not satisfy completeness")
@@ -165,21 +176,9 @@ class Channel:
 
 
 def make_density(entries) -> DensityMatrix:
-    """Validate and normalize an array into a DensityMatrix.
-
-    Symmetrizes, clips eigenvalues in [-1e-8, 0) to zero, renormalizes a
-    trace within 1e-8 of one; anything worse is rejected with diagnostics.
-    """
-    h = HermitianMatrix(entries)
-    tr = float(np.trace(h.entries).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValidationError(f"trace {tr} deviates from 1 by more than {TRACE_TOL}")
-    w, v = np.linalg.eigh(h.entries)
-    if w[0] < -EIG_TOL:
-        raise ValidationError(f"min eigenvalue {w[0]:.3e} below -{EIG_TOL}")
-    w = np.clip(w, 0.0, None)
-    w = w / w.sum()
-    return DensityMatrix(HermitianMatrix((v * w) @ v.conj().T))
+    """Validate and normalize one array into a DensityMatrix: :func:`make_density_stack`
+    on a stack of one."""
+    return make_density_stack(_as_square_complex(entries)[None])[0][0]
 
 
 def _prechecked(cls, **fields):
@@ -193,14 +192,14 @@ def _prechecked(cls, **fields):
 def make_density_stack(
     states, velocities=None
 ) -> tuple[tuple[DensityMatrix, ...], tuple[HermitianMatrix, ...] | None]:
-    """:func:`make_density` over an (n, d, d) stack of states and
-    ``HermitianMatrix`` over a matching stack of velocities, in one batched pass.
+    """Validate and normalize an (n, d, d) stack of states into DensityMatrix
+    objects, and a matching stack of velocities into ``HermitianMatrix``, in one pass.
 
-    Runs every check that make_density, HermitianMatrix and
-    DensityMatrix.__post_init__ run, with two eigh calls for the whole
-    stack (the second fills each ``spectrum``), and raises the error a loop
-    over the indices would raise first: state i, then velocity i, before
-    index i + 1.  For a single matrix :func:`make_density` is faster.
+    Symmetrizes, clips eigenvalues in [-1e-8, 0) to zero, renormalizes a
+    trace within 1e-8 of one; anything worse is rejected with diagnostics,
+    the error a loop over the indices would raise first: state i, then
+    velocity i, before index i + 1.  One eigh serves the whole stack, and each
+    state's ``spectrum`` is the clipped, renormalized eigensystem it is rebuilt from.
     """
     s = np.asarray(states, dtype=complex)
     if s.ndim != 3 or s.shape[1] != s.shape[2]:
@@ -219,34 +218,26 @@ def make_density_stack(
         if hit.size:
             stop, error = int(hit[0]), make_error(int(hit[0]))
 
-    note(~np.isfinite(s).all(axis=(1, 2)), lambda i: ValidationError("matrix has non-finite entries"))
-    h = hermitian_part(s[:stop])
-    tr = np.trace(h, axis1=1, axis2=2).real
+    h = hermitian_part(s)  # checked after symmetrizing, as in HermitianMatrix
+    note(~np.isfinite(h).all(axis=(1, 2)), lambda i: ValidationError("matrix has non-finite entries"))
+    tr = np.trace(h[:stop], axis1=1, axis2=2).real
     note(
         np.abs(tr - 1.0) > TRACE_TOL,
         lambda i: ValidationError(f"trace {float(tr[i])} deviates from 1 by more than {TRACE_TOL}"),
     )
     w, frame = np.linalg.eigh(h[:stop])
     note(w[:, 0] < -EIG_TOL, lambda i: ValidationError(f"min eigenvalue {w[i, 0]:.3e} below -{EIG_TOL}"))
-    w = np.clip(w[:stop], 0.0, None)
-    w = w / w.sum(axis=1, keepdims=True)
-    frame = frame[:stop]
-    out = (frame * w[:, None, :]) @ frame.conj().swapaxes(1, 2)
-    note(~np.isfinite(out).all(axis=(1, 2)), lambda i: ValidationError("matrix has non-finite entries"))
-    out = hermitian_part(out[:stop])
-    dtr = np.trace(out, axis1=1, axis2=2).real
-    note(
-        np.abs(dtr - 1.0) > 1e-10,
-        lambda i: ValidationError(f"density matrix trace {float(dtr[i])} deviates from 1"),
-    )
-    sw, sv = np.linalg.eigh(out[:stop])
-    note(sw[:, 0] < -1e-10, lambda i: ValidationError("density matrix is not PSD within tolerance"))
     if v is not None:
+        v = hermitian_part(v)
         note(~np.isfinite(v).all(axis=(1, 2)), lambda i: ValidationError("matrix has non-finite entries"))
     if error is not None:
         raise error
 
-    for a in (out, sw, sv):
+    # w >= 0 and sums to 1, so each rebuilt state is unit-trace and PSD to rounding
+    w = np.clip(w, 0.0, None)
+    w = w / w.sum(axis=1, keepdims=True)
+    out = hermitian_part((frame * w[:, None, :]) @ frame.conj().swapaxes(1, 2))
+    for a in (out, w, frame):
         a.setflags(write=False)  # the per-state views below inherit this
     rhos = tuple(
         _prechecked(
@@ -254,11 +245,10 @@ def make_density_stack(
             matrix=_prechecked(HermitianMatrix, entries=m),
             spectrum=SpectralDecomposition(eigenvalues=w_i, frame=v_i),
         )
-        for m, w_i, v_i in zip(out, sw, sv)
+        for m, w_i, v_i in zip(out, w, frame)
     )
     if v is None:
         return rhos, None
-    v = hermitian_part(v)
     v.setflags(write=False)
     return rhos, tuple(_prechecked(HermitianMatrix, entries=m) for m in v)
 

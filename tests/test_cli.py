@@ -136,13 +136,26 @@ def test_missing_file_exits_2(state_files, capsys):
     assert "input error" in capsys.readouterr().err
 
 
-def test_malformed_json_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text, diagnostic",
+    [
+        ("{not json", "bad.json:1:"),  # diagnostics carry the parse location
+        ('{"re": "abc"}', "bad.json: malformed numeric field"),
+        ('{"re": [[1, 0], [0]]}', "bad.json: malformed numeric field"),
+        ('{"dim": "x", "re": [[1]]}', "bad.json: malformed numeric field"),
+        ('{"p": "abc"}', "bad.json: could not convert"),
+        ('{"p": [NaN, 1.0]}', "bad.json: probability vector has non-finite entries"),
+        ('{"p": null}', "bad.json: probability vector has non-finite entries"),
+        ("3", "bad.json: expected a JSON object"),
+    ],
+    ids=["syntax", "string", "ragged", "dim", "p_string", "p_nan", "p_null", "not_object"],
+)
+def test_malformed_json_exits_2(tmp_path, capsys, text, diagnostic):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    bad.write_text(text)
     code = main(["compute", "fmin", str(bad), str(bad)])
     assert code == EXIT_INPUT
-    # diagnostics carry the parse location
-    assert "bad.json:1:" in capsys.readouterr().err
+    assert diagnostic in capsys.readouterr().err
 
 
 def test_singular_rho_exits_3(state_files, capsys):

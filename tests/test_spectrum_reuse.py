@@ -4,7 +4,8 @@ only the inner operator rho^-1/2 sigma rho^-1/2.
 They are checked against the route they replaced, which decomposes every
 state and intermediate again through the HermitianMatrix wrappers; against
 its typed errors on singular and non-PSD input; and by counting the
-decompositions per call.
+decompositions per call, which also shows that constructing a state from
+a validated one decomposes it once.
 """
 
 import math
@@ -34,7 +35,15 @@ from revfid.geometry import (
 )
 from revfid.linalg import HermitianMatrix, eig_hermitian, matrix_sqrt
 from revfid.reverse_tests import general_reverse_test, hidden_pair, minimal_reverse_test
-from revfid.states import DensityMatrix, make_density, random_density
+from revfid.states import (
+    DensityMatrix,
+    apply_channel,
+    make_density,
+    make_density_stack,
+    random_channel,
+    random_density,
+    tensor,
+)
 
 ALPHAS = (0.25, 0.5, 0.75)
 
@@ -221,6 +230,12 @@ def decompositions(monkeypatch):
     return counts
 
 
+def _trajectory(rho, sigma, n):
+    # the segment from rho to sigma: n states and their velocities
+    t = np.linspace(0.0, 1.0, n)[:, None, None]
+    return (1.0 - t) * rho.mat + t * sigma.mat, np.broadcast_to(sigma.mat - rho.mat, (n,) + rho.mat.shape)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -232,6 +247,10 @@ def decompositions(monkeypatch):
         lambda rho, sigma: uhlmann_fidelity(rho, sigma),
         lambda rho, sigma: reverse_relative_entropy(rho, sigma),
         lambda rho, sigma: f_min_via_geomean(rho, sigma),
+        lambda rho, sigma: make_density(rho.mat),
+        lambda rho, sigma: make_density_stack(*_trajectory(rho, sigma, 501)),
+        lambda rho, sigma: apply_channel(random_channel(3, 3, 2, 5), rho),
+        lambda rho, sigma: tensor(rho, sigma),
     ],
     ids=[
         "f_min",
@@ -242,6 +261,10 @@ def decompositions(monkeypatch):
         "uhlmann_fidelity",
         "reverse_relative_entropy",
         "f_min_via_geomean",
+        "make_density",
+        "make_density_stack",
+        "apply_channel",
+        "tensor",
     ],
 )
 def test_one_decomposition_per_call_on_validated_pair(call, decompositions):

@@ -3,7 +3,10 @@ import pytest
 
 from revfid.errors import DimensionMismatchError, ValidationError
 from revfid.linalg import HermitianMatrix
+from revfid.reverse_tests import ReverseTest
 from revfid.states import (
+    EIG_TOL,
+    TRACE_TOL,
     Channel,
     DensityMatrix,
     ProbDist,
@@ -164,12 +167,51 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
+def _reference_make_density(entries):
+    # the scalar route make_density had before it became the stack of one:
+    # HermitianMatrix and DensityMatrix check the rebuilt matrix again
+    h = HermitianMatrix(entries)
+    tr = float(np.trace(h.entries).real)
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValidationError(f"trace {tr} deviates from 1 by more than {TRACE_TOL}")
+    w, v = np.linalg.eigh(h.entries)
+    if w[0] < -EIG_TOL:
+        raise ValidationError(f"min eigenvalue {w[0]:.3e} below -{EIG_TOL}")
+    w = np.clip(w, 0.0, None)
+    w = w / w.sum()
+    return DensityMatrix(HermitianMatrix((v * w) @ v.conj().T))
+
+
 def _scalar_loop(states, vels):
     # the per-index construction the stack replaces: state i, then velocity i
     out = []
     for s, v in zip(states, vels):
-        out.append((make_density(s), HermitianMatrix(v)))
+        out.append((_reference_make_density(s), HermitianMatrix(v)))
     return out
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        np.ones((2, 3)),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.diag([0.55, 0.55]),
+        np.diag([1.2, -0.2]),
+        np.diag([1.0 + 2e-8, -2e-8]),
+        np.diag([0.5, 0.5 + 6e-9]),
+        np.diag([0.6, 0.4 + 5e-9, -5e-9]),
+    ],
+    ids=["non_square", "nan", "trace", "negative", "below_clip", "renormalized", "clipped"],
+)
+def test_make_density_matches_reference(entries):
+    # the same error, or the same entries bit for bit
+    expected = _outcome(lambda: _reference_make_density(entries).mat)
+    got = _outcome(lambda: make_density(entries).mat)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert np.array_equal(got, expected)
+        _assert_is_stored_spectrum(make_density(entries))
 
 
 def test_make_density_stack_matches_scalar():
@@ -214,6 +256,41 @@ def test_make_density_stack_raises_first_scalar_error(state_faults, velocity_fau
     expected = _outcome(lambda: _scalar_loop(states, vels))
     assert isinstance(expected, tuple) and expected[0] is ValidationError
     assert _outcome(lambda: make_density_stack(states, vels)) == expected
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_overflowing_symmetrization_is_rejected(dim):
+    # finite entries whose Hermitian part overflows; eigh on it returns NaN at
+    # dim 2 and raises LinAlgError at dim 3
+    m = np.eye(dim) / dim + 1e308 * (1 - np.eye(dim))
+    fine = np.eye(dim) / dim
+    builds = [
+        lambda: make_density(m),
+        lambda: make_density_stack(np.array([fine, m])),
+        lambda: make_density_stack(np.array([fine, fine]), np.array([fine, m])),
+        lambda: DensityMatrix(HermitianMatrix(m)),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for build in builds:
+            with pytest.raises(ValidationError, match="matrix has non-finite entries"):
+                build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ProbDist(np.array([np.nan, 1.0])),
+        lambda: PureState(np.array([np.nan, 1.0])),
+        lambda: SignedVector(np.array([np.nan, 0.0])),
+        lambda: Channel((np.diag([1.0, np.nan]),)),
+        lambda: ReverseTest(np.array([[1.0, np.nan], [0.0, 1.0]]), ProbDist([0.5, 0.5]), ProbDist([0.5, 0.5])),
+    ],
+    ids=["ProbDist", "PureState", "SignedVector", "Channel", "ReverseTest"],
+)
+def test_validators_reject_non_finite(build):
+    # every later check is a comparison that NaN fails silently
+    with pytest.raises(ValidationError, match="non-finite entries"):
+        build()
 
 
 def test_make_density_stack_rejects_bad_shapes():
