@@ -14,7 +14,7 @@ import math
 import sys
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -54,7 +54,6 @@ from .reverse_tests import (
     verify_reverse_test,
 )
 from .states import (
-    DensityMatrix,
     ProbDist,
     PureState,
     apply_channel,
@@ -121,19 +120,9 @@ class SuiteReport:
     tolerances: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "suite": self.suite,
-                "trials": self.trials,
-                "seed": self.seed,
-                "failures": self.failures,
-                "max_residual": self.max_residual,
-                "wall_time_seconds": self.wall_time,
-                "tolerances": self.tolerances,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        fields = asdict(self)
+        fields["wall_time_seconds"] = fields.pop("wall_time")
+        return json.dumps(fields, indent=2, sort_keys=True)
 
     @property
     def passed(self) -> bool:
@@ -157,11 +146,14 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _state_from(obj: dict, path: str) -> DensityMatrix:
-    """JSON object {"dim": n, "re": [[...]], "im": [[...]]}, row-major."""
+def _matrix_input(make, obj: dict, path: str):
+    """make(M) for the JSON object {"dim": n, "re": [[...]], "im": [[...]]},
+    M = re + i im row-major, with its errors prefixed by the file name."""
     m = _matrix_from(obj, path)
     try:
-        return make_density(m)
+        # symmetrizing entries near the float maximum overflows: an error, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return make(m)
     except RevfidError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
@@ -170,18 +162,16 @@ def _matrix_from(obj: dict, path: str) -> np.ndarray:
     if "re" not in obj:
         raise ValidationError(f"{path}: missing 're' field")
     try:
-        dim = int(obj.get("dim", len(obj["re"])))
+        dim = obj.get("dim", len(obj["re"]))
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
-    except (TypeError, ValueError) as exc:
+        if dim != int(dim):
+            raise ValueError(f"dim {dim!r} is not an integer")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: malformed numeric field: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValidationError(f"{path}: matrix shape does not match dim {dim}")
     return re + 1j * im
-
-
-def _hermitian_from(obj: dict, path: str) -> HermitianMatrix:
-    return HermitianMatrix(_matrix_from(obj, path))
 
 
 def _prob_from(obj: dict, path: str) -> ProbDist:
@@ -247,8 +237,9 @@ def cmd_compute(args) -> int:
     if q in _DISTRIBUTION_QUANTITIES and "p" in obj:
         value = _DISTRIBUTION_QUANTITIES[q](_prob_from(obj, first), _prob_from(_load_json(second), second))
     else:
-        second_from = _hermitian_from if q in ("sld", "rld") else _state_from
-        value = _STATE_QUANTITIES[q](_state_from(obj, first), second_from(_load_json(second), second), args)
+        make = HermitianMatrix if q in ("sld", "rld") else make_density
+        rho = _matrix_input(make_density, obj, first)
+        value = _STATE_QUANTITIES[q](rho, _matrix_input(make, _load_json(second), second), args)
     _emit(value if isinstance(value, list) else [fmt(value)], args.out)
     return EXIT_OK
 
@@ -482,7 +473,7 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
-    rho, sigma = (_state_from(_load_json(path), path) for path in args.files)
+    rho, sigma = (_matrix_input(make_density, _load_json(path), path) for path in args.files)
     curve = fmin_geodesic(rho, sigma, n_samples=args.samples)
     speeds = curve_speeds(curve, "rld")
     lengths = cumulative_trapezoid(speeds, x=curve.times, initial=0.0)

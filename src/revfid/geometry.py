@@ -376,35 +376,45 @@ def _gl_nodes(order: int = 8) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _chart_length(anchors: Sequence[np.ndarray], order: int = 8) -> float:
-    """RLD length of the path rho(t) = G(t)G(t)†/tr, G piecewise linear
-    through the anchors, with analytic velocities per segment.
+_CHART_FAILURES = {1: "degenerate chart point", 2: "chart path leaves the positive cone"}
 
-    All segments x nodes are evaluated as one (segments, nodes, d, d) stack.
-    """
+
+def _segment_lengths(starts: np.ndarray, ends: np.ndarray, order: int = 8):
+    """RLD lengths of rho(u) = GG†/tr, G = A + uD, D = B - A, over (..., d, d)
+    stacks of endpoints A = starts and B = ends, and the (..., order) codes of
+    their nodes: 0 if regular, else a key of _CHART_FAILURES (it raises nothing,
+    and its segment's length is meaningless). J = tr(drho rho^-1 drho) takes one
+    solve per node."""
     nodes, weights = _gl_nodes(order)
-    a = np.asarray(anchors)
-    dg = (a[1:] - a[:-1])[:, None]
-    g = a[:-1, None] + nodes[:, None, None] * dg
-    gh = g.conj().swapaxes(-1, -2)
-    m = g @ gh
-    tau = np.trace(m, axis1=-2, axis2=-1).real
-    dm = dg @ gh + g @ dg.conj().swapaxes(-1, -2)
-    dtau = np.trace(dm, axis1=-2, axis2=-1).real
+    a = np.asarray(starts)
+    dg = np.asarray(ends) - a
+    ah, dh = a.conj().swapaxes(-1, -2), dg.conj().swapaxes(-1, -2)
+    ad = a @ dh
+    # GG† = M0 + u M1 + u^2 M2, formed once per segment: AA†, AD† + (AD†)†, DD†
+    m0, m1, m2 = (x[..., None, :, :] for x in (a @ ah, ad + ad.conj().swapaxes(-1, -2), dg @ dh))
+    u = nodes[:, None, None]
+    m, dm = m0 + u * (m1 + u * m2), m1 + 2.0 * u * m2
+    tau, dtau = (np.trace(x, axis1=-2, axis2=-1).real for x in (m, dm))
     degenerate = tau <= 0.0
-    # degenerate nodes raise below; a unit tau keeps their arithmetic finite
+    # a unit tau keeps the arithmetic of degenerate nodes finite
     tau = np.where(degenerate, 1.0, tau)[..., None, None]
     rho = m / tau
-    drho = dm / tau - m * (dtau[..., None, None] / tau**2)
-    # nodes are checked in path order; the first failing one names the error
-    bad = degenerate | (np.linalg.eigvalsh(rho)[..., 0] <= 1e-13)
-    if bad.any():
-        first = np.flatnonzero(bad)[0]
-        if degenerate.flat[first]:
-            raise DomainError("degenerate chart point")
-        raise DomainError("chart path leaves the positive cone")
-    j = np.trace(drho @ np.linalg.inv(rho) @ drho, axis1=-2, axis2=-1).real
-    return float(np.sum(weights * np.sqrt(np.maximum(j, 0.0)), axis=1).sum())
+    drho = (dm - rho * dtau[..., None, None]) / tau
+    failing = np.where(degenerate, 1, 2 * (np.linalg.eigvalsh(rho)[..., 0] <= 1e-13))
+    if failing.any():  # the identity stands in for failing nodes, so the solve cannot fail
+        rho = np.where(failing[..., None, None] > 0, np.eye(rho.shape[-1]), rho)
+    j = np.einsum("...ij,...ji->...", drho, np.linalg.solve(rho, drho)).real
+    return np.sum(weights * np.sqrt(np.maximum(j, 0.0)), axis=-1), failing
+
+
+def _chart_length(anchors: Sequence[np.ndarray], order: int = 8) -> float:
+    """RLD length of the path rho(t) = G(t)G(t)†/tr, G piecewise linear through
+    the anchors; the first failing node in path order names the error."""
+    a = np.asarray(anchors)
+    lengths, failing = _segment_lengths(a[:-1], a[1:], order)
+    if failing.any():  # a boolean mask keeps path order
+        raise DomainError(_CHART_FAILURES[failing[failing > 0][0]])
+    return float(lengths.sum())
 
 
 def fr_estimate(
@@ -418,7 +428,9 @@ def fr_estimate(
 
     The search space is the exact commutative geodesic plus piecewise
     square-root-factor paths refined by coordinate descent, so the result
-    always lies in [F_min, F] up to quadrature noise.
+    always lies in [F_min, F] up to quadrature noise. A trial moves one
+    anchor by +step or -step along a random direction: one stacked call
+    re-evaluates, for both signs, only the two segments the anchor joins.
     """
     rho.require_full_rank()
     sigma.require_full_rank()
@@ -428,42 +440,39 @@ def fr_estimate(
     best = 2.0 * math.acos(fmin_val)  # exact length of the commutative geodesic
 
     geo = fmin_geodesic(rho, sigma, n_samples=control_points + 2)
-    anchors = [s.sqrt() for s in geo.states]
-    try:
-        current = _chart_length(anchors)
-    except DomainError:
+    anchors = np.array([s.sqrt() for s in geo.states])
+    lengths, failing = _segment_lengths(anchors[:-1], anchors[1:])
+    if failing.any():
         return math.cos(0.5 * best)
-    best = min(best, current)
+    current = float(lengths.sum())  # only falls from here on
 
     rng = rng_for(seed)
-    scale = float(np.mean([np.linalg.norm(a) for a in anchors]))
-    step = 0.1 * scale
+    step = 0.1 * float(np.mean([np.linalg.norm(a) for a in anchors]))
     shrink_levels = 0
     d = rho.dim
+    signs = np.array([1.0, -1.0])[:, None, None]
     for _ in range(iterations):
         improved = False
         for i in range(1, len(anchors) - 1):
             direction = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             direction /= np.linalg.norm(direction)
-            for sign in (1.0, -1.0):
-                trial = [a.copy() for a in anchors]
-                trial[i] = trial[i] + sign * step * direction
-                try:
-                    length = _chart_length(trial)
-                except DomainError:
-                    continue
-                if length < current - 1e-12:
-                    anchors = trial
-                    current = length
-                    improved = True
-                    break
-        best = min(best, current)
+            # (sign, anchor i-1..i+1) paths; only segments i-1 and i move
+            paths = np.array([anchors[i - 1 : i + 2]] * 2)
+            paths[:, 1] = anchors[i] + signs * step * direction
+            trials = np.array([lengths] * 2)
+            trials[:, i - 1 : i + 1], failing = _segment_lengths(paths[:, :-1], paths[:, 1:])
+            totals = trials.sum(axis=1)
+            accept = ~failing.any(axis=(1, 2)) & (totals < current - 1e-12)
+            if accept.any():
+                k = int(np.argmax(accept))  # the + trial first
+                anchors[i], lengths, current = paths[k, 1], trials[k], float(totals[k])
+                improved = True
         if not improved:
             step *= 0.5
             shrink_levels += 1
             if shrink_levels >= 12:
                 break
-    return float(min(math.cos(0.5 * best), 1.0))
+    return float(min(math.cos(0.5 * min(best, current)), 1.0))
 
 
 @dataclass(frozen=True)

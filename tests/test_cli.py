@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ from revfid.cli import (
     run_suite,
 )
 from revfid.errors import ValidationError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -143,12 +149,13 @@ def test_missing_file_exits_2(state_files, capsys):
         ('{"re": "abc"}', "bad.json: malformed numeric field"),
         ('{"re": [[1, 0], [0]]}', "bad.json: malformed numeric field"),
         ('{"dim": "x", "re": [[1]]}', "bad.json: malformed numeric field"),
+        ('{"dim": 2.7, "re": [[0.5, 0], [0, 0.5]]}', "bad.json: malformed numeric field: dim 2.7 is not an integer"),
         ('{"p": "abc"}', "bad.json: could not convert"),
         ('{"p": [NaN, 1.0]}', "bad.json: probability vector has non-finite entries"),
         ('{"p": null}', "bad.json: probability vector has non-finite entries"),
         ("3", "bad.json: expected a JSON object"),
     ],
-    ids=["syntax", "string", "ragged", "dim", "p_string", "p_nan", "p_null", "not_object"],
+    ids=["syntax", "string", "ragged", "dim", "dim_fraction", "p_string", "p_nan", "p_null", "not_object"],
 )
 def test_malformed_json_exits_2(tmp_path, capsys, text, diagnostic):
     bad = tmp_path / "bad.json"
@@ -156,6 +163,25 @@ def test_malformed_json_exits_2(tmp_path, capsys, text, diagnostic):
     code = main(["compute", "fmin", str(bad), str(bad)])
     assert code == EXIT_INPUT
     assert diagnostic in capsys.readouterr().err
+
+
+def test_overflowing_entries_name_the_file_without_warnings(tmp_path):
+    # symmetrizing 1e308 entries overflows; stderr holds the one input error
+    rho, big = tmp_path / "r.json", tmp_path / "big.json"
+    rho.write_text(json.dumps({"re": [[0.6, 0.0], [0.0, 0.4]]}))
+    big.write_text(json.dumps({"re": [[1e308, 1e308], [1e308, -1e308]]}))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    for files in (["rld", rho, big], ["fmin", big, rho]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "revfid.cli", "compute", *map(str, files)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr == f"input error: {big}: matrix has non-finite entries\n"
 
 
 def test_singular_rho_exits_3(state_files, capsys):

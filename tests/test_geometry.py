@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import simpson
 from scipy.linalg import solve_sylvester
 
+from revfid import geometry
 from revfid.divergences import f_min, f_min_pure, uhlmann_fidelity
 from revfid.errors import DomainError, SingularStateError, ValidationError
 from revfid.geometry import (
@@ -32,6 +33,7 @@ from revfid.geometry import (
     _fd_velocities,
     _gl_nodes,
     _integrate_flow,
+    _segment_lengths,
     _solve_stage_sylvester,
 )
 from revfid.linalg import HermitianMatrix
@@ -450,29 +452,81 @@ def test_stage_sylvester_rejects_non_finite():
             _solve_stage_sylvester(a, b)
 
 
+def test_stage_solve_satisfies_euler_lagrange():
+    # the Euler-Lagrange equation of the RLD energy under tr rho = 1 at unit
+    # speed: dL/dt + dL/dt† + L†L + I = 0, with L = V rho^-1 (so rho L† = L rho)
+    for k in range(80):
+        dim = (2, 3, 4, 6)[k % 4]
+        rho = random_density(dim, dim, 90_000 + k).mat
+        g = rng_for(90_000 + k, stream=5).standard_normal((dim, dim, 2)) @ [1.0, 1j]
+        v = g + g.conj().T
+        v -= np.trace(v).real / dim * np.eye(dim)
+        rho_inv = np.linalg.inv(rho)
+        v /= math.sqrt(np.trace(v @ rho_inv @ v).real)
+        l = v @ rho_inv
+        ll = l.conj().T @ l
+        dl = _solve_stage_sylvester(rho, -(rho @ ll + rho))
+        residual = np.linalg.norm(dl + dl.conj().T + ll + np.eye(dim))
+        assert residual <= 1e-11 * (np.linalg.norm(ll) + math.sqrt(dim))
+
+
+CHART_FAILURES = {1: "degenerate chart point", 2: "chart path leaves the positive cone"}
+
+
+def _segment_by_node(g0, g1, order=8):
+    """Independent route for one segment, one node at a time: its length
+    and each node's failure code (0 regular, else a key of CHART_FAILURES)."""
+    nodes, weights = _gl_nodes(order)
+    dg = g1 - g0
+    length, codes = 0.0, []
+    for u, w in zip(nodes, weights):
+        g = g0 + u * dg
+        m = g @ g.conj().T
+        tau = float(np.trace(m).real)
+        if tau <= 0.0:
+            codes.append(1)
+            continue
+        dm = dg @ g.conj().T + g @ dg.conj().T
+        dtau = float(np.trace(dm).real)
+        rho = m / tau
+        drho = dm / tau - m * (dtau / tau**2)
+        if np.linalg.eigvalsh(rho)[0] <= 1e-13:
+            codes.append(2)
+            continue
+        codes.append(0)
+        j = float(np.trace(drho @ np.linalg.inv(rho) @ drho).real)
+        length += w * math.sqrt(max(j, 0.0))
+    return length, codes
+
+
 def _chart_length_by_node(anchors, order=8):
     """Independent route: one node at a time, in path order."""
-    nodes, weights = _gl_nodes(order)
     total = 0.0
     for g0, g1 in zip(anchors[:-1], anchors[1:]):
-        dg = g1 - g0
-        seg = 0.0
-        for u, w in zip(nodes, weights):
-            g = g0 + u * dg
-            m = g @ g.conj().T
-            tau = float(np.trace(m).real)
-            if tau <= 0.0:
-                raise DomainError("degenerate chart point")
-            dm = dg @ g.conj().T + g @ dg.conj().T
-            dtau = float(np.trace(dm).real)
-            rho = m / tau
-            drho = dm / tau - m * (dtau / tau**2)
-            if np.linalg.eigvalsh(rho)[0] <= 1e-13:
-                raise DomainError("chart path leaves the positive cone")
-            j = float(np.trace(drho @ np.linalg.inv(rho) @ drho).real)
-            seg += w * math.sqrt(max(j, 0.0))
-        total += seg
+        length, codes = _segment_by_node(g0, g1, order)
+        for code in codes:
+            if code:
+                raise DomainError(CHART_FAILURES[code])
+        total += length
     return total
+
+
+def test_segment_lengths_stacked_matches_node_loop():
+    for seed in range(6):
+        dim = 2 + seed % 3
+        rng = rng_for(seed, stream=6)
+        starts, ends = rng.standard_normal((2, 2, 2, dim, dim, 2)) @ [1.0, 1j]
+        # one degenerate segment and one that stays on the cone's boundary
+        starts[1, 0] = ends[1, 0] = 0.0
+        starts[1, 1] = ends[1, 1] = np.diag([1.0] + [0.0] * (dim - 1))
+        lengths, failing = _segment_lengths(starts, ends)
+        assert lengths.shape == (2, 2) and failing.shape == (2, 2, 8)
+        for k in np.ndindex(2, 2):
+            ref, codes = _segment_by_node(starts[k], ends[k])
+            assert failing[k].tolist() == codes
+            if not any(codes):
+                assert abs(lengths[k] - ref) <= 1e-12 * ref
+        assert set(failing[1, 0].tolist()) == {1} and set(failing[1, 1].tolist()) == {2}
 
 
 def test_chart_length_matches_node_loop():
@@ -533,6 +587,74 @@ def test_fr_strictly_above_fmin_on_smoothed_orthogonal_pair():
     fmin = f_min(rho, sigma)
     assert fr > fmin + 1e-3
     assert fr <= uhlmann_fidelity(rho, sigma) + 1e-8
+
+
+def _fr_estimate_full_path(rho, sigma, control_points, iterations, seed):
+    """The search with one whole-path evaluation per trial and sign, each
+    node by node: the route fr_estimate's segment reuse replaced."""
+    fmin_val = f_min(rho, sigma)
+    if fmin_val >= 1.0 - 1e-12:
+        return 1.0
+    best = 2.0 * math.acos(fmin_val)
+    anchors = [s.sqrt() for s in fmin_geodesic(rho, sigma, n_samples=control_points + 2).states]
+    try:
+        current = _chart_length_by_node(anchors)
+    except DomainError:
+        return math.cos(0.5 * best)
+    best = min(best, current)
+    rng = rng_for(seed)
+    step = 0.1 * float(np.mean([np.linalg.norm(a) for a in anchors]))
+    shrink_levels = 0
+    d = rho.dim
+    for _ in range(iterations):
+        improved = False
+        for i in range(1, len(anchors) - 1):
+            direction = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            direction /= np.linalg.norm(direction)
+            for sign in (1.0, -1.0):
+                trial = [a.copy() for a in anchors]
+                trial[i] = trial[i] + sign * step * direction
+                try:
+                    length = _chart_length_by_node(trial)
+                except DomainError:
+                    continue
+                if length < current - 1e-12:
+                    anchors, current, improved = trial, length, True
+                    break
+        best = min(best, current)
+        if not improved:
+            step *= 0.5
+            shrink_levels += 1
+            if shrink_levels >= 12:
+                break
+    return float(min(math.cos(0.5 * best), 1.0))
+
+
+def test_fr_matches_full_path_search():
+    for seed in range(60):
+        dim = 2 + seed % 3
+        rho = random_density(dim, dim, 3_000 + seed)
+        sigma = random_density(dim, dim, 4_000 + seed)
+        ref = _fr_estimate_full_path(rho, sigma, 3, 6, seed)
+        assert abs(fr_estimate(rho, sigma, 3, 6, seed) - ref) <= 1e-12
+
+
+def test_fr_evaluates_only_moved_segments(monkeypatch):
+    shapes = []
+
+    def counted(starts, ends, *args, _original=geometry._segment_lengths, **kwargs):
+        shapes.append(np.shape(starts)[:-2])
+        return _original(starts, ends, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_segment_lengths", counted)
+    rho, sigma = random_density(3, 3, 11), random_density(3, 3, 12)
+    for control_points, iterations in ((3, 6), (2, 9), (5, 4)):
+        shapes.clear()
+        fr_estimate(rho, sigma, control_points, iterations, 7)
+        # the whole path once, then one call per trial: two signs x two segments
+        assert shapes[0] == (control_points + 1,)
+        assert set(shapes[1:]) == {(2, 2)}
+        assert len(shapes) <= 1 + iterations * control_points
 
 
 def test_fr_sandwich_random():
