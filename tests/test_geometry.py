@@ -7,7 +7,7 @@ from scipy.linalg import solve_sylvester
 
 from revfid import geometry
 from revfid.divergences import f_min, f_min_pure, uhlmann_fidelity
-from revfid.errors import DomainError, SingularStateError, ValidationError
+from revfid.errors import DimensionMismatchError, DomainError, SingularStateError, ValidationError
 from revfid.geometry import (
     Curve,
     GeodesicState,
@@ -46,6 +46,9 @@ from revfid.states import (
     rng_for,
     state_distance,
 )
+
+# a silent overflow or NaN along a flow or a path search fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -311,6 +314,22 @@ def test_flow_rejects_bad_constraint():
 
 
 @pytest.mark.parametrize("flow", [commutative_geodesic_flow, rld_geodesic_flow])
+@pytest.mark.parametrize(
+    "l, error, match",
+    [
+        (np.eye(3, dtype=complex), DimensionMismatchError, "shape"),
+        (np.array([1.0, -1.0], dtype=complex), DimensionMismatchError, "shape"),
+        (np.diag([1.0, np.nan]).astype(complex), ValidationError, "L has non-finite"),
+        (np.diag([np.inf, -1.0]).astype(complex), ValidationError, "L has non-finite"),
+    ],
+)
+def test_flow_rejects_malformed_l(flow, l, error, match):
+    # rejected before any arithmetic: no matmul error, no RuntimeWarning
+    with pytest.raises(error, match=match):
+        flow(GeodesicState(make_density(np.diag([0.5, 0.5])), l), 0.01, 5)
+
+
+@pytest.mark.parametrize("flow", [commutative_geodesic_flow, rld_geodesic_flow])
 def test_flow_rejects_singular_start(flow):
     # satisfies every other start check: rho L† = L rho, tr(L rho) = 0, J^R = 1
     gs = GeodesicState(
@@ -408,6 +427,61 @@ def test_flow_multi_seed_curve_or_domain_error(dim, flow):
         assert all(isinstance(s, DensityMatrix) for s in flow_curve.states)
         assert min(s.min_eigenvalue() for s in flow_curve.states) >= -1e-10
         assert max(abs(np.trace(s.mat).real - 1.0) for s in flow_curve.states) < 1e-6
+
+
+def _matrix_rk4_flow(start, dt, steps):
+    """The commutative flow as a d x d matrix RK4 on (rho, L): the route the
+    eigenvalue RK4 of commutative_geodesic_flow replaced."""
+    eye = np.eye(start.state.dim)
+    return _integrate_flow(start, dt, steps, lambda _r, m: -0.5 * (m @ m + eye))
+
+
+def test_commutative_flow_matches_matrix_rk4():
+    starts = [(dim, seed) for dim in (2, 3, 4) for seed in range(20)] + [(8, 0)]
+    for dim, seed in starts:
+        gs, total = geodesic_start(random_density(dim, dim, seed), random_density(dim, dim, seed + 500))
+        got = commutative_geodesic_flow(gs, total / 500, 500)
+        ref = _matrix_rk4_flow(gs, total / 500, 500)
+        assert np.array_equal(got.times, ref.times)
+        for a, b in zip(got.states, ref.states):
+            assert np.abs(a.mat - b.mat).max() <= 1e-12
+        for a, b in zip(got.velocities, ref.velocities):
+            assert np.abs(a.entries - b.entries).max() <= 1e-12
+
+
+def _rejected_step(flow, gs, dt, steps):
+    with pytest.raises(DomainError, match="constraint residual") as err:
+        flow(gs, dt, steps)
+    return int(str(err.value).split()[1])
+
+
+def test_flows_past_the_arc_end_in_domain_error():
+    # past the arc an eigenvalue l = tan(.) of L blows up where rho's weight
+    # on it reaches 0; RK4's l then grows by orders of magnitude per step, so
+    # the residual crosses the bound within a step of where the matrix route's
+    # differently rounded residual does
+    for seed in range(6):
+        gs, total = geodesic_start(random_density(3, 3, seed), random_density(3, 3, seed + 500))
+        for factor in (1.5, 2.0, 4.0, 8.0):
+            dt = factor * total / 500
+            got = _rejected_step(commutative_geodesic_flow, gs, dt, 500)
+            ref = _rejected_step(_matrix_rk4_flow, gs, dt, 500)
+            assert abs(got - ref) <= 1
+
+
+@pytest.mark.parametrize(
+    "dt, error, match",
+    [
+        # L and rho stay diagonal, so the residual is 0 until l overflows
+        (1.0, DomainError, "step 4 rejected: constraint residual nan"),
+        # RK4 overshoots a weight below 0 before l overflows: that state is reported
+        (3.0, ValidationError, "min eigenvalue"),
+    ],
+)
+def test_commutative_flow_rejects_first_bad_step(dt, error, match):
+    gs = GeodesicState(make_density(np.diag([0.5, 0.5])), np.diag([1.0, -1.0]).astype(complex))
+    with pytest.raises(error, match=match):
+        commutative_geodesic_flow(gs, dt, 6)
 
 
 @pytest.mark.parametrize("abort_after_calls", [None, 4])
@@ -655,6 +729,28 @@ def test_fr_evaluates_only_moved_segments(monkeypatch):
         assert shapes[0] == (control_points + 1,)
         assert set(shapes[1:]) == {(2, 2)}
         assert len(shapes) <= 1 + iterations * control_points
+
+
+def test_fr_keeps_the_plus_trial_when_both_signs_shorten(monkeypatch):
+    rho, sigma = random_density(2, 2, 21), random_density(2, 2, 22)
+    best = 2.0 * math.acos(f_min(rho, sigma))
+    seed = 5
+    rng = rng_for(seed)  # the search's one draw: its direction at the one interior anchor
+    direction = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    anchor = []
+
+    def lengths(starts, ends, order=8):
+        shape = np.shape(starts)[:-2]
+        if shape == (2,):  # the whole path: two segments, each as long as the closed form
+            anchor.append(ends[0])
+            out = np.full(shape, best)
+        else:  # both trials shorten; the move along -direction shortens more
+            plus = [np.vdot(direction, ends[k, 0] - anchor[0]).real > 0 for k in range(2)]
+            out = np.array([[0.3 * best if p else 0.1 * best] * 2 for p in plus])
+        return out, np.zeros(shape + (order,), dtype=int)
+
+    monkeypatch.setattr(geometry, "_segment_lengths", lengths)
+    assert fr_estimate(rho, sigma, 1, 1, seed) == pytest.approx(math.cos(0.3 * best), abs=1e-15)
 
 
 def test_fr_sandwich_random():
