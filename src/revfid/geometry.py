@@ -8,11 +8,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.linalg.lapack import zgees, ztrsyl
+from scipy.linalg.lapack import zheevd
 
 from .divergences import classical_fidelity, f_min, uhlmann_fidelity
 from .errors import DimensionMismatchError, DomainError, ValidationError
@@ -96,13 +97,19 @@ class GeodesicState:
         return float(np.linalg.norm(r @ l.conj().T - l @ r))
 
 
+def _lyapunov_solve(w: np.ndarray, v: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """X with A X + X A = rhs for Hermitian A = V diag(w) V†, V unitary:
+    X = V ((V† rhs V) / (w_i + w_j)) V†. The one Lyapunov solver of the
+    package; rhs need not be Hermitian."""
+    vh = v.conj().T
+    return v.dot(vh.dot(rhs).dot(v) / (w[:, None] + w)).dot(vh)
+
+
 def sld_fisher(tp: TangentPoint) -> FisherReport:
     """Solve drho = (L rho + rho L)/2 and return J^S = tr L^2 rho."""
     tp.state.require_full_rank()
     w, v = tp.state.spectrum.eigenvalues, tp.state.spectrum.frame
-    d_tilde = v.conj().T @ tp.velocity.entries @ v
-    l_tilde = 2.0 * d_tilde / np.add.outer(w, w)
-    sld = HermitianMatrix(v @ l_tilde @ v.conj().T)
+    sld = HermitianMatrix(_lyapunov_solve(w, v, 2.0 * tp.velocity.entries))
     j = float(np.trace(sld.entries @ tp.velocity.entries).real)
     return FisherReport(j_sld=max(j, 0.0), sld=sld)
 
@@ -257,7 +264,12 @@ def geodesic_start(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[GeodesicSt
     return GeodesicState(rho, fisher.rld / total), total
 
 
-def _check_flow_start(start: GeodesicState) -> None:
+def _check_flow_start(start: GeodesicState, dt: float, steps: int) -> None:
+    """Reject a bad dt or steps (dt < 0 runs backward) or start before any arithmetic."""
+    if isinstance(dt, bool) or not isinstance(dt, Real) or not math.isfinite(dt) or dt == 0:
+        raise ValidationError(f"dt must be finite and non-zero, got {dt!r}")
+    if isinstance(steps, bool) or not isinstance(steps, Integral) or steps < 0:
+        raise ValidationError(f"steps must be an integer >= 0, got {steps!r}")
     l = np.asarray(start.rld_matrix)
     if l.shape != start.state.mat.shape:
         raise DimensionMismatchError(f"L has shape {l.shape}, the state has dim {start.state.dim}")
@@ -273,6 +285,10 @@ def _check_flow_start(start: GeodesicState) -> None:
         raise ValidationError(f"start is not unit speed: J^R = {j}")
 
 
+def _rejected_step(k: int, residual: float) -> DomainError:
+    return DomainError(f"step {k} rejected: constraint residual {residual:.3e} exceeds {FLOW_CONSTRAINT_TOL}")
+
+
 def _integrate_flow(start: GeodesicState, dt: float, steps: int, deriv_l) -> Curve:
     total = dt * steps
     rho = np.empty((steps + 1,) + start.state.mat.shape, dtype=complex)
@@ -286,32 +302,38 @@ def _integrate_flow(start: GeodesicState, dt: float, steps: int, deriv_l) -> Cur
         r, m = rho[1 : k + 1], l[1 : k + 1]
         return make_density_stack(r, total * 0.5 * (m @ r + r @ m.conj().swapaxes(1, 2)))
 
-    def f(r, m):
-        return m @ r, deriv_l(r, m)
-
-    for k in range(steps):
-        try:
-            # classical 4-stage Runge-Kutta on the coupled (rho, L) system
-            r, m = rho[k], l[k]
-            k1r, k1l = f(r, m)
-            k2r, k2l = f(r + 0.5 * dt * k1r, m + 0.5 * dt * k1l)
-            k3r, k3l = f(r + 0.5 * dt * k2r, m + 0.5 * dt * k2l)
-            k4r, k4l = f(r + dt * k3r, m + dt * k3l)
-            r = r + dt / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r)
-            m = m + dt / 6.0 * (k1l + 2 * k2l + 2 * k3l + k4l)
-            r = 0.5 * (r + r.conj().T)
-            r = r / np.trace(r).real  # the flow conserves trace analytically
-            residual = np.linalg.norm(r @ m.conj().T - m @ r)
-            if residual > FLOW_CONSTRAINT_TOL:
-                raise DomainError(
-                    f"step {k + 1} rejected: constraint residual {residual:.3e} "
-                    f"exceeds {FLOW_CONSTRAINT_TOL}"
-                )
-        except DomainError:
-            trajectory(k)  # an invalid earlier step is reported first
-            raise
-        rho[k + 1] = r
-        l[k + 1] = m
+    # complex scalars: a complex array times a Python float converts the float each time
+    half, whole, sixth = np.complex128(0.5 * dt), np.complex128(dt), np.complex128(dt / 6.0)
+    r, m = rho[0], l[0]
+    k1r = m.dot(r)
+    # a step that blows up goes non-finite and its residual check rejects it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(steps):
+            try:
+                # classical 4-stage Runge-Kutta on the coupled (rho, L) system
+                k1l = deriv_l(r, m)
+                r2, m2 = r + half * k1r, m + half * k1l
+                k2r, k2l = m2.dot(r2), deriv_l(r2, m2)
+                r3, m3 = r + half * k2r, m + half * k2l
+                k3r, k3l = m3.dot(r3), deriv_l(r3, m3)
+                r4, m4 = r + whole * k3r, m + whole * k3l
+                k4r, k4l = m4.dot(r4), deriv_l(r4, m4)
+                r = r + sixth * (k1r + (k2r + k2r) + (k3r + k3r) + k4r)  # x + x = 2x exactly
+                m = m + sixth * (k1l + (k2l + k2l) + (k3l + k3l) + k4l)
+                r = r + r.conj().T
+                r = r / r.real.trace()  # the flow conserves trace analytically
+                # r is Hermitian, so rho L† - L rho = (L rho)† - L rho, and
+                # L rho is the next step's first stage
+                k1r = m.dot(r)
+                c = k1r - k1r.conj().T
+                residual = math.sqrt(np.vdot(c, c).real)
+                if not residual <= FLOW_CONSTRAINT_TOL:
+                    raise _rejected_step(k + 1, residual)
+            except DomainError:
+                trajectory(k)  # an invalid earlier step is reported first
+                raise
+            rho[k + 1] = r
+            l[k + 1] = m
     states, velocities = trajectory(steps)
     times = [0.0] + [(k + 1) * dt / total for k in range(steps)]
     return Curve(np.array(times), (start.state,) + states, (v0,) + velocities)
@@ -334,7 +356,7 @@ def commutative_geodesic_flow(start: GeodesicState, dt: float, steps: int) -> Cu
     The grid is normalized to [0, 1]; velocities are derivatives with
     respect to the normalized parameter.
     """
-    _check_flow_start(start)
+    _check_flow_start(start, dt, steps)
     total = dt * steps
     w, v = start.state.spectrum.eigenvalues, start.state.spectrum.frame
     sw = np.sqrt(w)
@@ -380,51 +402,28 @@ def commutative_geodesic_flow(start: GeodesicState, dt: float, steps: int) -> Cu
     if rejected.size:
         k = int(rejected[0]) + 1
         make_density_stack(rho[1:k], vel[1:k])  # an invalid earlier step is reported first
-        raise DomainError(
-            f"step {k} rejected: constraint residual {residual[k]:.3e} "
-            f"exceeds {FLOW_CONSTRAINT_TOL}"
-        )
+        raise _rejected_step(k, residual[k])
     states, velocities = make_density_stack(rho[1:], vel[1:])
     times = [0.0] + [(k + 1) * dt / total for k in range(steps)]
     return Curve(np.array(times), (start.state,) + states, (HermitianMatrix(vel[0]),) + velocities)
 
 
 def rld_geodesic_flow(start: GeodesicState, dt: float, steps: int) -> Curve:
-    """General RLD geodesic: dL/dt solved from the Sylvester equation
-    rho dL + dL rho = -(rho L†L + rho) each stage, drho/dt = L rho."""
-    _check_flow_start(start)
-
-    def deriv_l(r, m):
-        return _solve_stage_sylvester(r, -(r @ m.conj().T @ m + r))
-
-    return _integrate_flow(start, dt, steps, deriv_l)
+    """General RLD geodesic: RK4 of drho/dt = L rho, rho dL + dL rho = -rho (L†L + 1),
+    each stage solved in the eigenbasis of its Hermitian part. The anti-Hermitian
+    part dropped is O(dt * constraint residual); a step whose residual exceeds
+    FLOW_CONSTRAINT_TOL, or is not finite, stops the flow with a DomainError."""
+    _check_flow_start(start, dt, steps)
+    return _integrate_flow(start, dt, steps, _rld_stage)
 
 
-def _solve_stage_sylvester(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """X with r X + X r = rhs, for a complex stage point r of the flow.
-
-    Bartels-Stewart (Comm. ACM 15, 1972) with both coefficients equal to r,
-    so the single Schur factor r = U T U† serves both sides:
-    T Y + Y T = U† rhs U is solved by ztrsyl and X = U Y U†.
-    """
-
-    def halt(reason):
-        return DomainError(f"flow halted: Sylvester solve failed ({reason})")
-
-    if not (np.isfinite(r).all() and np.isfinite(rhs).all()):
-        raise halt("array must not contain infs or NaNs")
-    t, _, _, u, _, info = zgees(lambda _: None, r)  # unsorted: the callback is unused
-    if info < 0:
-        raise halt(f"illegal value in {-info}-th argument of internal gees")
-    if info > 0:  # singular or ill-conditioned rho along the flow
-        raise halt("Schur form not found. Possibly ill-conditioned.")
-    uh = u.conj().T
-    # ztrsyl solves T Y + Y T = scale * (U† rhs U), scale < 1 only to avoid
-    # overflow; info = 1 flags perturbed close eigenvalues and still solves
-    y, scale, info = ztrsyl(t, t, uh @ rhs @ u)
-    if info < 0:
-        raise halt(f"Illegal value encountered in the {-info} term")
-    return u @ (y / scale) @ uh
+def _rld_stage(r: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """dL/dt at the stage point (r, m): one eigensolve of r + r†, one Lyapunov solve."""
+    w, v, info = zheevd(r + r.conj().T)
+    if info:  # not converged: only on non-finite input, and the step is lost
+        w = np.full_like(w, np.nan)
+    # twice the stage's equation h dL + dL h = -r (L†L + 1), with h = (r + r†)/2
+    return _lyapunov_solve(w, v, (r.dot(m.conj().T.dot(m)) + r) * -2.0)
 
 
 @functools.cache

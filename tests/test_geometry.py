@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 from scipy.linalg import solve_sylvester
+from scipy.linalg.lapack import zgees, ztrsyl
 
 from revfid import geometry
 from revfid.divergences import f_min, f_min_pure, uhlmann_fidelity
@@ -33,8 +34,9 @@ from revfid.geometry import (
     _fd_velocities,
     _gl_nodes,
     _integrate_flow,
+    _lyapunov_solve,
+    _rld_stage,
     _segment_lengths,
-    _solve_stage_sylvester,
 )
 from revfid.linalg import HermitianMatrix
 from revfid.states import (
@@ -501,6 +503,127 @@ def test_flow_reports_first_invalid_step_before_later_abort(abort_after_calls):
         _integrate_flow(gs, 0.5, 3, deriv_l)
 
 
+def _unit_start():
+    return GeodesicState(make_density(np.diag([0.5, 0.5])), np.diag([1.0, -1.0]).astype(complex))
+
+
+@pytest.mark.parametrize("flow", [commutative_geodesic_flow, rld_geodesic_flow])
+@pytest.mark.parametrize(
+    "dt, steps, match",
+    [
+        (0.0, 3, "dt must be finite and non-zero"),
+        (math.nan, 3, "dt must be finite and non-zero"),
+        (math.inf, 3, "dt must be finite and non-zero"),
+        (1j, 3, "dt must be finite and non-zero"),
+        (0.01, -2, "steps must be an integer >= 0"),
+        (0.01, 2.5, "steps must be an integer >= 0"),
+        (0.01, 3.0, "steps must be an integer >= 0"),
+        (0.01, True, "steps must be an integer >= 0"),
+    ],
+)
+def test_flow_rejects_bad_dt_or_steps(flow, dt, steps, match):
+    # rejected before any arithmetic: no ZeroDivisionError, TypeError or numpy error
+    with pytest.raises(ValidationError, match=match):
+        flow(_unit_start(), dt, steps)
+
+
+@pytest.mark.parametrize("flow", [commutative_geodesic_flow, rld_geodesic_flow])
+def test_flow_zero_steps_and_backward_steps(flow):
+    gs = _unit_start()
+    curve = flow(gs, 0.01, np.int64(0))
+    assert len(curve.states) == len(curve.velocities) == 1
+    assert curve.states[0] is gs.state
+    # a negative dt runs the flow backward on the same normalized grid
+    fwd, back = flow(gs, 0.01, 5), flow(gs, -0.01, 5)
+    assert np.array_equal(fwd.times, back.times)
+    diag = [np.diag(s.mat).real for s in back.states]
+    assert np.allclose(diag, [d[::-1] for d in (np.diag(s.mat).real for s in fwd.states)], atol=1e-12)
+
+
+@pytest.mark.parametrize("dt", [1.0, 2.0])
+def test_rld_flow_non_finite_stage_is_the_steps_domain_error(dt):
+    # L and rho stay diagonal, so the residual is 0 until l overflows; the
+    # non-finite stage (at dt = 2 it reaches the eigensolve) must end in the
+    # step's DomainError, not a LAPACK error
+    with pytest.raises(DomainError, match=r"step \d+ rejected: constraint residual nan"):
+        rld_geodesic_flow(_unit_start(), dt, 6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rld_stage_passes_non_finite_on(bad):
+    # no LAPACK error: the stage is not finite, and the integrator, which runs
+    # the stages under this errstate, rejects the step on its residual
+    r = np.diag([0.5, 0.5]).astype(complex)
+    r[0, 1] = bad
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        dl = _rld_stage(r, np.diag([1.0, -1.0]).astype(complex))
+    assert not np.isfinite(dl).all()
+
+
+def test_rld_stage_unconverged_eigensolve_is_not_finite(monkeypatch):
+    # info > 0: whatever zheevd left in w and V, the stage is lost
+    monkeypatch.setattr(geometry, "zheevd", lambda a: (np.ones(2), np.eye(2, dtype=complex), 1))
+    with np.errstate(invalid="ignore"):  # as the integrator runs its stages
+        dl = _rld_stage(np.eye(2) / 2, np.diag([1.0, -1.0]).astype(complex))
+    assert np.isnan(dl).all()
+
+
+def test_integrate_flow_nan_derivative_is_the_steps_domain_error():
+    with pytest.raises(DomainError, match="step 1 rejected: constraint residual nan"):
+        _integrate_flow(_unit_start(), 0.01, 3, lambda r, _m: np.full_like(r, np.nan))
+
+
+def _schur_stage(r, m):
+    """The stage solve the eigenbasis route replaced, kept as an oracle:
+    rho dL + dL rho = -(rho L†L + rho) on the complex stage point r itself,
+    by Bartels-Stewart (Comm. ACM 15, 1972) with one Schur factor
+    r = U T U† for both sides; T Y + Y T = U† rhs U is solved by ztrsyl.
+    A non-finite stage gives NaN, so the step's residual check rejects it."""
+    rhs = -(r @ m.conj().T @ m + r)
+    if not (np.isfinite(r).all() and np.isfinite(rhs).all()):
+        return np.full_like(r, np.nan)
+    t, _, _, u, _, info = zgees(lambda _: None, r)  # unsorted: the callback is unused
+    assert info == 0
+    uh = u.conj().T
+    y, scale, info = ztrsyl(t, t, uh @ rhs @ u)  # scale < 1 only to avoid overflow
+    assert info >= 0
+    return u @ (y / scale) @ uh
+
+
+def _schur_flow(start, dt, steps):
+    return _integrate_flow(start, dt, steps, _schur_stage)
+
+
+def _flow_outcome(flow, gs, dt, steps):
+    """The curve, or the step number of the DomainError that ended the flow."""
+    try:
+        return flow(gs, dt, steps)
+    except DomainError as err:
+        assert str(err).startswith("step ")
+        return int(str(err).split()[1])
+
+
+def test_rld_flow_matches_schur_route():
+    # completed flows agree to rounding, amplified along the arc; where the
+    # flow reaches the cone's boundary, L blows up within a few steps and the
+    # two routes round the residual differently, so the abort may move a step
+    completed = 0
+    for dim in (2, 3, 4):
+        for seed in range(20):
+            gs, total = geodesic_start(random_density(dim, dim, seed), random_density(dim, dim, seed + 500))
+            got = _flow_outcome(rld_geodesic_flow, gs, total / 500, 500)
+            ref = _flow_outcome(_schur_flow, gs, total / 500, 500)
+            assert isinstance(got, int) == isinstance(ref, int), (dim, seed)
+            if isinstance(got, int):
+                assert abs(got - ref) <= 1, (dim, seed)
+                continue
+            completed += 1
+            assert np.array_equal(got.times, ref.times)
+            for a, b in zip(got.states, ref.states):
+                assert np.abs(a.mat - b.mat).max() <= 1e-9
+    assert completed >= 10
+
+
 def _stage_point(dim, seed):
     rng = rng_for(seed, stream=3)
     rho = random_density(dim, dim, seed).mat
@@ -509,21 +632,32 @@ def _stage_point(dim, seed):
     return r, -(r @ l.conj().T @ l + r)
 
 
-def test_stage_sylvester_matches_scipy():
+def test_lyapunov_kernel_matches_scipy():
+    # the flow's stage solve: the Hermitian part of the stage point, the
+    # actual (non-Hermitian) right side
     for seed in range(30):
         r, rhs = _stage_point(2 + seed % 3, seed)
         assert np.linalg.norm(r - r.conj().T) > 1e-3
-        x = _solve_stage_sylvester(r, rhs)
-        ref = solve_sylvester(r, r, rhs)
+        a = 0.5 * (r + r.conj().T)
+        w, v = np.linalg.eigh(a)
+        x = _lyapunov_solve(w, v, rhs)
+        ref = solve_sylvester(a, a, rhs)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
-        assert np.linalg.norm(r @ x + x @ r - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        assert np.linalg.norm(a @ x + x @ a - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
-def test_stage_sylvester_rejects_non_finite():
-    r, rhs = _stage_point(3, 1)
-    for a, b in ((np.full_like(r, np.nan), rhs), (r, np.full_like(rhs, np.inf))):
-        with pytest.raises(DomainError, match="must not contain infs or NaNs"):
-            _solve_stage_sylvester(a, b)
+def test_sld_fisher_matches_eigenbasis_formula():
+    # the SLD is L = V (2 D / (w_i + w_j)) V† with D = V† drho V
+    for k in range(50):
+        dim = 2 + k % 5
+        rho, vel = random_tangent(dim, 7_000 + k)
+        w, v = rho.spectrum.eigenvalues, rho.spectrum.frame
+        ref = v @ (2.0 * (v.conj().T @ vel.entries @ v) / np.add.outer(w, w)) @ v.conj().T
+        ref = 0.5 * (ref + ref.conj().T)
+        j_ref = np.trace(ref @ vel.entries).real
+        rep = sld_fisher(TangentPoint(rho, vel))
+        assert np.linalg.norm(rep.sld.entries - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert abs(rep.j_sld - j_ref) <= 1e-12 * abs(j_ref)
 
 
 def test_stage_solve_satisfies_euler_lagrange():
@@ -539,7 +673,7 @@ def test_stage_solve_satisfies_euler_lagrange():
         v /= math.sqrt(np.trace(v @ rho_inv @ v).real)
         l = v @ rho_inv
         ll = l.conj().T @ l
-        dl = _solve_stage_sylvester(rho, -(rho @ ll + rho))
+        dl = _rld_stage(rho, l)
         residual = np.linalg.norm(dl + dl.conj().T + ll + np.eye(dim))
         assert residual <= 1e-11 * (np.linalg.norm(ll) + math.sqrt(dim))
 
