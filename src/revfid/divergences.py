@@ -61,10 +61,23 @@ def t_spectrum(rho: DensityMatrix, sigma: DensityMatrix) -> SpectralDecompositio
     return SpectralDecomposition(eigenvalues=np.sqrt(w_inner), frame=frame)
 
 
-def _t_weights(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """T's eigenvalues t_x and p_x = <e_x|rho|e_x>: tr(rho g(T)) = sum_x g(t_x) p_x."""
-    spec = t_spectrum(rho, sigma)
-    return spec.eigenvalues, np.sum(spec.frame.conj() * (rho.mat @ spec.frame), axis=0).real
+def _t_base(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix, bool]:
+    """(B, other, B is sigma): the base B of rho # sigma = sigma # rho is the full-rank
+    state with the larger least eigenvalue, rho on a tie; its error grows like 1/lambda_min(B)."""
+    _check_dims(rho, sigma)
+    swapped = sigma.min_eigenvalue() > rho.min_eigenvalue()
+    base, other = (sigma, rho) if swapped else (rho, sigma)
+    base.require_full_rank(_SINGULAR.format("sigma" if swapped else "rho"))
+    return base, other, swapped
+
+
+def _t_weights(rho: DensityMatrix, sigma: DensityMatrix):
+    """(t, b, frame, B, B is sigma): the eigensystem (t_x, e_x) of T = sqrt(B^-1/2 other B^-1/2)
+    and b_x = <e_x|B|e_x>, so tr(B g(T)) = sum_x g(t_x) b_x."""
+    base, other, swapped = _t_base(rho, sigma)
+    spec = t_spectrum(base, other)
+    b = np.sum(spec.frame.conj() * (base.mat @ spec.frame), axis=0).real
+    return spec.eigenvalues, b, spec.frame, base, swapped
 
 
 def t_operator(rho: DensityMatrix, sigma: DensityMatrix) -> HermitianMatrix:
@@ -74,17 +87,16 @@ def t_operator(rho: DensityMatrix, sigma: DensityMatrix) -> HermitianMatrix:
 
 
 def f_min(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Reverse-test optimal fidelity tr(rho T); the smallest monotone extension."""
-    t, p = _t_weights(rho, sigma)
-    return float(min(max(t @ p, 0.0), 1.0))
+    """Reverse-test optimal fidelity tr(rho # sigma); the smallest monotone extension."""
+    t, b, *_ = _t_weights(rho, sigma)
+    return float(min(max(t @ b, 0.0), 1.0))
 
 
 def f_min_via_geomean(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Same quantity through the operator geometric mean tr(rho # sigma),
     an independent route that never forms T's eigensystem."""
-    _check_dims(rho, sigma)
-    rho.require_full_rank(_SINGULAR.format("rho"))
-    g = geometric_mean_from_sqrt(rho.sqrt(), sigma.mat)
+    base, other, _ = _t_base(rho, sigma)
+    g = geometric_mean_from_sqrt(base.sqrt(), other.mat)
     return float(min(max(np.trace(g).real, 0.0), 1.0))
 
 
@@ -162,9 +174,14 @@ def generalized_fidelity_classical(p: ProbDist, q: ProbDist, f: OperatorMonotone
 
 
 def f_f_min(rho: DensityMatrix, sigma: DensityMatrix, f: OperatorMonotoneSpec) -> float:
-    """Generalized minimal fidelity tr(sqrt(rho) f(T^2) sqrt(rho))."""
-    t, p = _t_weights(rho, sigma)
-    return float(map_spectrum(t, lambda lam: f(lam * lam)) @ p)
+    """Generalized minimal fidelity tr(sqrt(rho) f(T^2) sqrt(rho)); on the base sigma, the
+    transpose map x f(1/x), which is 0 where rho has no mass (x = 0), as in the classical form."""
+    t, b, _, _, swapped = _t_weights(rho, sigma)
+    if not swapped:
+        return float(map_spectrum(t, lambda lam: f(lam * lam)) @ b)
+    if f.kind == "custom" and t[0] <= 0.0:
+        raise DomainError("custom operator-monotone map at a zero-mass point of rho: x f(1/x) at x = 0")
+    return float(map_spectrum(t, lambda lam: lam * lam * f(1.0 / (lam * lam)) if lam > 0.0 else 0.0) @ b)
 
 
 def quasi_entropy_comparison(
@@ -248,9 +265,9 @@ class DeltaMaxBounds:
 def delta_max_bounds(rho: DensityMatrix, sigma: DensityMatrix) -> DeltaMaxBounds:
     """Sandwich 1 - F_min <= Delta_max <= sqrt(1 - F_min^2), plus the
     sharper measurement bound Delta(M(rho), M(T rho T)) in the T eigenbasis."""
-    t, p = _t_weights(rho, sigma)
-    fmin = float(min(max(t @ p, 0.0), 1.0))
-    via_meas = float(0.5 * np.sum(np.abs(p - t**2 * p)))
+    t, b, *_ = _t_weights(rho, sigma)
+    fmin = float(min(max(t @ b, 0.0), 1.0))
+    via_meas = float(0.5 * np.sum(np.abs(b - t**2 * b)))
     return DeltaMaxBounds(
         lower=1.0 - fmin,
         upper=math.sqrt(max(1.0 - fmin * fmin, 0.0)),

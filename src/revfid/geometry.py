@@ -15,10 +15,10 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.linalg.lapack import zheevd
 
-from .divergences import classical_fidelity, f_min, uhlmann_fidelity
+from .divergences import f_min, uhlmann_fidelity
 from .errors import DimensionMismatchError, DomainError, ValidationError
 from .linalg import HermitianMatrix, hermitian_part, require_finite
-from .reverse_tests import minimal_reverse_test
+from .reverse_tests import ReverseTest, minimal_reverse_test
 from .states import (
     FULL_RANK_MIN_EIG,
     DensityMatrix,
@@ -86,10 +86,15 @@ class Curve:
 
 @dataclass(frozen=True)
 class GeodesicState:
-    """(rho, L) pair feeding the RLD geodesic flows."""
+    """(rho, L) pair feeding the RLD geodesic flows; L is stored as a read-only complex array."""
 
     state: DensityMatrix
     rld_matrix: np.ndarray
+
+    def __post_init__(self):
+        l = np.array(self.rld_matrix, dtype=complex)
+        l.setflags(write=False)
+        object.__setattr__(self, "rld_matrix", l)
 
     def constraint_residual(self) -> float:
         r = self.state.mat
@@ -153,10 +158,14 @@ def classical_fisher(p: ProbDist, dp: SignedVector) -> float:
 def fmin_geodesic(rho: DensityMatrix, sigma: DensityMatrix, n_samples: int = 33) -> Curve:
     """Commutative-RLD geodesic realizing F_min: the classical great circle
     of the minimal reverse test pushed through its preparation map."""
+    return _great_circle(rho, minimal_reverse_test(rho, sigma), n_samples)
+
+
+def _great_circle(rho: DensityMatrix, rt: ReverseTest, n_samples: int) -> Curve:
+    """The geodesic of :func:`fmin_geodesic` from its minimal reverse test rt."""
     if n_samples < 2:
         raise ValidationError("need at least 2 samples")
-    rt = minimal_reverse_test(rho, sigma)
-    fid = classical_fidelity(rt.p, rt.q)
+    fid = rt.fidelity()
     times = np.linspace(0.0, 1.0, n_samples)
     if fid >= 1.0 - 1e-12:
         zero = HermitianMatrix(np.zeros((rho.dim, rho.dim)))
@@ -270,7 +279,7 @@ def _check_flow_start(start: GeodesicState, dt: float, steps: int) -> None:
         raise ValidationError(f"dt must be finite and non-zero, got {dt!r}")
     if isinstance(steps, bool) or not isinstance(steps, Integral) or steps < 0:
         raise ValidationError(f"steps must be an integer >= 0, got {steps!r}")
-    l = np.asarray(start.rld_matrix)
+    l = start.rld_matrix
     if l.shape != start.state.mat.shape:
         raise DimensionMismatchError(f"L has shape {l.shape}, the state has dim {start.state.dim}")
     require_finite(l, "L")
@@ -494,12 +503,13 @@ def fr_estimate(
     """
     rho.require_full_rank()
     sigma.require_full_rank()
-    fmin_val = f_min(rho, sigma)
+    rt = minimal_reverse_test(rho, sigma)
+    fmin_val = rt.fidelity()
     if fmin_val >= 1.0 - 1e-12:
         return 1.0
     best = 2.0 * math.acos(fmin_val)  # exact length of the commutative geodesic
 
-    geo = fmin_geodesic(rho, sigma, n_samples=control_points + 2)
+    geo = _great_circle(rho, rt, control_points + 2)
     anchors = np.array([s.sqrt() for s in geo.states])
     lengths, failing = _segment_lengths(anchors[:-1], anchors[1:])
     if failing.any():

@@ -130,23 +130,24 @@ def matrix_sqrt(P) -> HermitianMatrix:
     return HermitianMatrix((v * np.sqrt(w)) @ v.conj().T)
 
 
-def _require_strictly_positive(A: HermitianMatrix, *, what: str = "matrix") -> None:
-    w = np.linalg.eigvalsh(A.entries)
+def _mean_operands(A, B, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(sqrt(A), B) as arrays, with positivity and the root read off one eigh of A;
+    DomainError unless A is strictly positive."""
+    A, B = _hermitian(A), _hermitian(B)
+    if A.dim != B.dim:
+        raise DimensionMismatchError(f"dimension mismatch: {A.dim} vs {B.dim}")
+    w, v = np.linalg.eigh(A.entries)
     if w[0] <= STRICT_POS_FACTOR * max(1.0, A.fro_norm()):
         raise DomainError(
-            f"{what} is singular (min eigenvalue {w[0]:.3e}); "
+            f"first argument of {what} is singular (min eigenvalue {w[0]:.3e}); "
             "regularize explicitly (A + eps*I) before calling"
         )
+    return hermitian_part((v * np.sqrt(w)) @ v.conj().T), B.entries
 
 
 def geometric_mean(A, B) -> HermitianMatrix:
     """Operator geometric mean A # B = sqrt(A) sqrt(A^-1/2 B A^-1/2) sqrt(A)."""
-    A = _hermitian(A)
-    B = _hermitian(B)
-    if A.dim != B.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {A.dim} vs {B.dim}")
-    _require_strictly_positive(A, what="first argument of geometric_mean")
-    return HermitianMatrix(geometric_mean_from_sqrt(matrix_sqrt(A).entries, B.entries))
+    return HermitianMatrix(geometric_mean_from_sqrt(*_mean_operands(A, B, "geometric_mean")))
 
 
 def geometric_mean_from_sqrt(ra: np.ndarray, b: np.ndarray, inner_map=matrix_sqrt) -> np.ndarray:
@@ -159,11 +160,7 @@ def geometric_mean_from_sqrt(ra: np.ndarray, b: np.ndarray, inner_map=matrix_sqr
 
 def weighted_geometric_mean(A, B, alpha: float) -> HermitianMatrix:
     """A #_alpha B = sqrt(A) (A^-1/2 B A^-1/2)^alpha sqrt(A), alpha in (0, 1]."""
-    A = _hermitian(A)
-    B = _hermitian(B)
-    if A.dim != B.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {A.dim} vs {B.dim}")
-    _require_strictly_positive(A, what="first argument of weighted_geometric_mean")
+    ra, b = _mean_operands(A, B, "weighted_geometric_mean")
 
     def power(h: HermitianMatrix) -> HermitianMatrix:
         w, v = psd_eigh(h.entries)
@@ -171,7 +168,7 @@ def weighted_geometric_mean(A, B, alpha: float) -> HermitianMatrix:
         fw = map_spectrum(w, lambda t: t**alpha)
         return HermitianMatrix(SpectralDecomposition(w, v).function(fw))
 
-    return HermitianMatrix(geometric_mean_from_sqrt(matrix_sqrt(A).entries, B.entries, power))
+    return HermitianMatrix(geometric_mean_from_sqrt(ra, b, power))
 
 
 def trace_norm(X) -> float:

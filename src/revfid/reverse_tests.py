@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import classical_fidelity, f_min_pure, t_spectrum, uhlmann_fidelity
+from .divergences import _t_weights, classical_fidelity, f_min_pure, t_operator, uhlmann_fidelity
 from .errors import DomainError, RevfidError, ValidationError
 from .linalg import HermitianMatrix, hermitian_part, psd_eigh, require_finite, support_inverse_power, trace_norm
 from .states import DensityMatrix, ProbDist, PureState, make_density, rng_for
@@ -98,15 +98,15 @@ def verify_reverse_test(
 def minimal_reverse_test(rho: DensityMatrix, sigma: DensityMatrix) -> ReverseTest:
     """Optimal reverse test on an alphabet of size dim.
 
-    Diagonalize T, set p(x) = <e_x|rho|e_x>, q(x) = lambda_x^2 p(x), and
-    prepare with the normalized columns of sqrt(rho) V.  Its classical
-    fidelity equals tr(rho T).
+    Diagonalize T on the base B that f_min takes, give B the weights <e_x|B|e_x>
+    and the other state t_x^2 <e_x|B|e_x>, and prepare with the normalized
+    columns of sqrt(B) V, in ascending sqrt(q/p).  Its classical fidelity is f_min.
     """
-    spec = t_spectrum(rho, sigma)
-    cols = rho.sqrt() @ spec.frame
-    p = np.linalg.norm(cols, axis=0) ** 2
-    q = spec.eigenvalues**2 * p
-    prep = cols / np.linalg.norm(cols, axis=0)
+    t, b, frame, base, swapped = _t_weights(rho, sigma)
+    cols = base.sqrt() @ frame
+    prep, p, q = cols / np.linalg.norm(cols, axis=0), b, t**2 * b
+    if swapped:  # t = sqrt(p/q) ascends on the base sigma
+        prep, p, q = prep[:, ::-1], q[::-1], p[::-1]
     return ReverseTest(prep=prep, p=ProbDist(p), q=ProbDist(q))
 
 
@@ -170,8 +170,7 @@ def general_reverse_test(
         env_dim = 2 * d
     if env_dim < d:
         raise ValidationError(f"env_dim {env_dim} must be >= dim {d}")
-    spec = t_spectrum(rho, sigma)
-    t = spec.function(spec.eigenvalues)
+    t = t_operator(rho, sigma).entries
     a = np.asarray(a, dtype=complex)
     if a.shape != (d, d):
         raise ValidationError(f"contraction must be {d}x{d}, got {a.shape}")
@@ -266,8 +265,7 @@ def hidden_pair(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[DensityMatrix
     W_rho W_rho† = rho, W_sigma W_sigma† = sigma, and
     W_rho W_sigma† = W_sigma W_rho† >= 0.
     """
-    spec = t_spectrum(rho, sigma)
-    t = spec.function(spec.eigenvalues)
+    t = t_operator(rho, sigma).entries
     w_rho = rho.sqrt()
     w_sigma = w_rho @ t
     cross = w_rho @ w_sigma.conj().T

@@ -19,7 +19,9 @@ from revfid.cli import (
     main,
     run_suite,
 )
+from revfid.divergences import f_min_pure
 from revfid.errors import ValidationError
+from revfid.states import PureState, make_density
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -185,8 +187,13 @@ def test_overflowing_entries_name_the_file_without_warnings(tmp_path):
 
 
 def test_singular_rho_exits_3(state_files, capsys):
-    assert main(["compute", "fmin", state_files["pure"], state_files["sigma"]]) == EXIT_DOMAIN
-    assert "domain error" in capsys.readouterr().err
+    # a full-rank sigma is the base, so F_min against the pure rho is the closed form
+    assert main(["compute", "fmin", state_files["pure"], state_files["sigma"]]) == EXIT_OK
+    closed = f_min_pure(make_density(np.diag([0.8, 0.2])), PureState(np.array([1.0, 0.0])))
+    assert capsys.readouterr().out.strip() == f"{closed:.12f}"
+    # with both states singular no base exists
+    assert main(["compute", "fmin", state_files["pure"], state_files["pure"]]) == EXIT_DOMAIN
+    assert "domain error: rho is singular" in capsys.readouterr().err
 
 
 def test_unknown_quantity_exits_2(state_files, capsys):

@@ -24,6 +24,7 @@ from revfid.divergences import (
 from revfid.errors import DomainError, SingularStateError, ValidationError
 from revfid.states import ProbDist, PureState, make_density, random_density, random_pure
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 @pytest.fixture
 def commuting_pair():
@@ -90,9 +91,14 @@ def test_fmin_routes_agree():
 
 
 def test_fmin_requires_full_rank():
+    # a full-rank sigma is the base for a singular rho, in either argument order
     singular = random_density(3, 2, 5)
+    full = random_density(3, 3, 6)
+    assert f_min(singular, full) == f_min(full, singular)
+    # the square root at T's zero eigenvalue turns round-off into ~1e-8 on both routes
+    assert abs(f_min(singular, full) - f_min_via_geomean(singular, full)) < 1e-7
     with pytest.raises(SingularStateError):
-        f_min(singular, random_density(3, 3, 6))
+        f_min(singular, random_density(3, 2, 7))
 
 
 def test_fmin_pure_off_support_is_zero():

@@ -332,6 +332,18 @@ def test_flow_rejects_malformed_l(flow, l, error, match):
 
 
 @pytest.mark.parametrize("flow", [commutative_geodesic_flow, rld_geodesic_flow])
+def test_list_start_behaves_like_array_start(flow):
+    start, _ = geodesic_start(random_density(3, 3, 11), random_density(3, 3, 12))
+    listed = GeodesicState(start.state, start.rld_matrix.tolist())
+    assert listed.rld_matrix.dtype == complex and not listed.rld_matrix.flags.writeable
+    assert listed.constraint_residual() == start.constraint_residual()
+    a, b = flow(start, 0.01, 4), flow(listed, 0.01, 4)
+    assert all(np.array_equal(x.mat, y.mat) for x, y in zip(a.states, b.states))
+    real = GeodesicState(make_density(np.diag([0.5, 0.5])), [[1.0, 0.0], [0.0, -1.0]])
+    assert np.array_equal(flow(real, 0.01, 3).states[-1].mat, flow(_unit_start(), 0.01, 3).states[-1].mat)
+
+
+@pytest.mark.parametrize("flow", [commutative_geodesic_flow, rld_geodesic_flow])
 def test_flow_rejects_singular_start(flow):
     # satisfies every other start check: rho L† = L rho, tr(L rho) = 0, J^R = 1
     gs = GeodesicState(

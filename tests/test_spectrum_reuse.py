@@ -28,6 +28,7 @@ from revfid.divergences import (
 from revfid.errors import NotPsdError, SingularStateError, ValidationError
 from revfid.geometry import (
     TangentPoint,
+    fmin_geodesic,
     fr_estimate,
     rld_fisher,
     sld_fisher,
@@ -46,6 +47,8 @@ from revfid.states import (
 )
 
 ALPHAS = (0.25, 0.5, 0.75)
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 # ------------------------------------------------- the wrapper route (oracle)
@@ -170,19 +173,31 @@ def test_singular_base_raises_as_before():
     sigma = random_density(3, 3, 6)
     expected = _outcome(oracle_t_operator, rho, sigma)
     assert expected[0] is SingularStateError
+    # rho^-1/2 defines these, so a singular rho raises whatever sigma is
     calls = [
         (t_operator, rho, sigma),
-        (f_min, rho, sigma),
-        (f_min_via_geomean, rho, sigma),
-        (f_f_min, rho, sigma, OperatorMonotoneSpec.sqrt()),
-        (delta_max_bounds, rho, sigma),
-        (minimal_reverse_test, rho, sigma),
         (hidden_pair, rho, sigma),
         (general_reverse_test, rho, sigma, np.eye(3)),
         (quasi_entropy_comparison, rho, sigma, 0.5),
     ]
     for fn, *args in calls:
         assert _outcome(fn, *args) == expected, fn.__name__
+    # the symmetric quantities take the better-conditioned base, so only a pair
+    # with both states singular raises, and the message names that base
+    nearly = make_density((1.0 - 1e-11) * random_density(3, 2, 7).mat + 1e-11 * np.eye(3) / 3)
+    assert rho.min_eigenvalue() < nearly.min_eigenvalue() <= 1e-10
+    as_rho = _outcome(oracle_t_operator, nearly, rho)
+    assert as_rho[0] is SingularStateError
+    as_sigma = (SingularStateError, as_rho[1].replace("rho is singular", "sigma is singular", 1))
+    for a, b, outcome in ((nearly, rho, as_rho), (rho, nearly, as_sigma)):
+        for fn, *args in [
+            (f_min, a, b),
+            (f_min_via_geomean, a, b),
+            (f_f_min, a, b, OperatorMonotoneSpec.sqrt()),
+            (delta_max_bounds, a, b),
+            (minimal_reverse_test, a, b),
+        ]:
+            assert _outcome(fn, *args) == outcome, fn.__name__
     assert _outcome(reverse_relative_entropy, sigma, rho) == _outcome(
         oracle_reverse_relative_entropy, sigma, rho
     )
@@ -273,3 +288,18 @@ def test_one_decomposition_per_call_on_validated_pair(call, decompositions):
     decompositions.update(eigh=0, eigvalsh=0)  # the states' own validation is done
     call(rho, sigma)
     assert decompositions["eigh"] + decompositions["eigvalsh"] == 1
+
+
+def test_fr_estimate_takes_f_min_from_its_geodesic(decompositions):
+    # F_min is the fidelity of the reverse test the start path is built from, so
+    # fr_estimate makes the geodesic's eigh calls and no decomposition of
+    # rho^-1/2 sigma rho^-1/2 of its own (the search's eigvalsh calls check segments)
+    rho = random_density(3, 3, 1)
+    sigma = random_density(3, 3, 2)
+    decompositions.update(eigh=0, eigvalsh=0)
+    fmin_geodesic(rho, sigma, n_samples=5)
+    geodesic = decompositions["eigh"]
+    decompositions.update(eigh=0, eigvalsh=0)
+    fr = fr_estimate(rho, sigma, control_points=3, iterations=2)
+    assert decompositions["eigh"] == geodesic == 2
+    assert f_min(rho, sigma) - 1e-9 <= fr <= uhlmann_fidelity(rho, sigma) + 1e-9
