@@ -17,7 +17,6 @@ import zlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .divergences import (
     classical_fidelity,
@@ -36,6 +35,7 @@ from .divergences import (
 from .errors import DomainError, RevfidError, ValidationError
 from .geometry import (
     TangentPoint,
+    _cumulative_trapezoid,
     classical_fisher,
     curve_length,
     curve_speeds,
@@ -476,7 +476,7 @@ def cmd_geodesic(args) -> int:
     rho, sigma = (_matrix_input(make_density, _load_json(path), path) for path in args.files)
     curve = fmin_geodesic(rho, sigma, n_samples=args.samples)
     speeds = curve_speeds(curve, "rld")
-    lengths = cumulative_trapezoid(speeds, x=curve.times, initial=0.0)
+    lengths = _cumulative_trapezoid(speeds, curve.times)
     rows = zip(curve.times, curve.states, speeds, lengths)
     if not speeds.any():  # equal endpoints: the curve stands still
         rows = [(0.0, rho, 0.0, 0.0)]

@@ -151,23 +151,27 @@ class OperatorMonotoneSpec:
             return float(max(t, 0.0) ** self.alpha)
         return float(self.fn(t))
 
+    def _slope_at_infinity(self) -> float:
+        """lim_{t->inf} f(t)/t: 1 for the power family at alpha = 1, else 0; a custom map's
+        limit is not known, so it raises DomainError."""
+        if self.kind == "custom":
+            raise DomainError("custom operator-monotone map at a zero-mass point: lim f(t)/t is not known")
+        return 1.0 if self.alpha == 1.0 else 0.0
+
 
 def generalized_fidelity_classical(p: ProbDist, q: ProbDist, f: OperatorMonotoneSpec) -> float:
-    """F_f(p, q) = sum_x p(x) f(q(x)/p(x)); zero-mass points contribute 0.
+    """F_f(p, q) = sum_x p(x) f(q(x)/p(x)).
 
-    The zero-mass convention matches the limit p*f(q/p) -> 0, valid for the
-    power family; custom maps hit a zero-mass point only if the caller
-    guarantees f(t)/t -> 0, otherwise the point is rejected.
+    A point with p(x) = 0 contributes the limit of p f(q/p) as p -> 0,
+    q(x) lim f(t)/t: q(x) at alpha = 1 and 0 for alpha < 1 in the power
+    family; a custom map there is rejected.
     """
     _check_sizes(p, q)
     total = 0.0
     for pw, qw in zip(p.weights, q.weights):
         if pw <= 0.0:
-            if qw > 0.0 and f.kind == "custom":
-                raise DomainError(
-                    "custom operator-monotone map at a zero-mass point: "
-                    "the p(x)=0 convention requires f(t)/t -> 0"
-                )
+            if qw > 0.0:
+                total += qw * f._slope_at_infinity()
             continue
         total += pw * f(qw / pw)
     return float(total)
@@ -175,13 +179,13 @@ def generalized_fidelity_classical(p: ProbDist, q: ProbDist, f: OperatorMonotone
 
 def f_f_min(rho: DensityMatrix, sigma: DensityMatrix, f: OperatorMonotoneSpec) -> float:
     """Generalized minimal fidelity tr(sqrt(rho) f(T^2) sqrt(rho)); on the base sigma, the
-    transpose map x f(1/x), which is 0 where rho has no mass (x = 0), as in the classical form."""
+    transpose map x f(1/x), whose limit at x = 0 (where rho has no mass) is lim f(t)/t,
+    as in the classical form."""
     t, b, _, _, swapped = _t_weights(rho, sigma)
     if not swapped:
         return float(map_spectrum(t, lambda lam: f(lam * lam)) @ b)
-    if f.kind == "custom" and t[0] <= 0.0:
-        raise DomainError("custom operator-monotone map at a zero-mass point of rho: x f(1/x) at x = 0")
-    return float(map_spectrum(t, lambda lam: lam * lam * f(1.0 / (lam * lam)) if lam > 0.0 else 0.0) @ b)
+    at_zero = f._slope_at_infinity() if t[0] <= 0.0 else 0.0
+    return float(map_spectrum(t, lambda lam: lam * lam * f(1.0 / (lam * lam)) if lam > 0.0 else at_zero) @ b)
 
 
 def quasi_entropy_comparison(

@@ -12,7 +12,6 @@ from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.linalg.lapack import zheevd
 
 from .divergences import f_min, uhlmann_fidelity
@@ -213,15 +212,42 @@ def _resample(curve: Curve, panels: int) -> Curve:
     return Curve(times, make_density_stack((1.0 - u) * m[i] + u * m[i + 1])[0])
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson's rule over pairs of intervals of a strictly increasing grid of at
+    least 3 samples; with an even count the last interval takes Cartwright's (2017)
+    correction. A 1-D port of scipy.integrate.simpson in its operation order."""
+    h = np.diff(x)
+    stop = len(y) - 2 - (len(y) + 1) % 2  # the pairs cover all intervals, or all but the last
+    h0, h1, y0, y1, y2 = h[0:stop:2], h[1:stop + 1:2], y[0:stop:2], y[1:stop + 1:2], y[2:stop + 2:2]
+    hsum, hprod, h0divh1 = h0 + h1, h0 * h1, h0 / h1
+    total = np.sum(hsum / 6.0 * (y0 * (2.0 - 1.0 / h0divh1) + y1 * (hsum * (hsum / hprod)) + y2 * (2.0 - h0divh1)))
+    if len(y) % 2 == 0:
+        # 0-d arrays: numpy's array power can round differently from the scalar pow
+        a, b = np.asarray(h[-2]), np.asarray(h[-1])
+        alpha = (2 * b**2 + 3 * a * b) / (6 * (b + a))
+        beta = (b**2 + 3.0 * a * b) / (6 * a)
+        eta = b**3 / (6 * a * (a + b))
+        total += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return float(total)
+
+
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals of y from x[0] to each x[i], 0 first (scipy's cumulative_trapezoid)."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def curve_length(curve: Curve, metric: str = "rld", panels: int | None = None) -> float:
-    """Integral of sqrt(J_t) along the curve by composite Simpson quadrature."""
+    """Integral of sqrt(J_t) along the curve by composite Simpson quadrature; panels
+    (None, or an integer >= 2) first resamples the states onto a uniform grid."""
     if panels is not None:
+        if isinstance(panels, bool) or not isinstance(panels, Integral) or panels < 2:
+            raise ValidationError(f"panels must be None or an integer >= 2, got {panels!r}")
         curve = _resample(curve, panels)
     if len(curve.states) < 3:
         if len(curve.states) == 1:
             return 0.0
         raise ValidationError("need at least 3 samples for quadrature")
-    return float(simpson(curve_speeds(curve, metric), x=curve.times))
+    return _simpson(curve_speeds(curve, metric), curve.times)
 
 
 def curve_speeds(curve: Curve, metric: str = "rld") -> np.ndarray:

@@ -119,7 +119,9 @@ def test_zero_mass_points_of_rho_follow_the_classical_convention():
     rt = minimal_reverse_test(rho, sigma)
     for alpha in (0.25, 0.5, 1.0):
         f = OperatorMonotoneSpec.power(alpha)
+        # where rho has no mass, sigma's 0.5 counts with lim f(t)/t: 1 at alpha = 1, else 0
         expected = 0.6 ** (1 - alpha) * 0.2**alpha + 0.4 ** (1 - alpha) * 0.3**alpha
+        expected += 0.5 if alpha == 1.0 else 0.0
         assert abs(f_f_min(rho, sigma, f) - expected) <= 1e-15
         assert abs(generalized_fidelity_classical(rt.p, rt.q, f) - expected) <= 1e-15
     custom = OperatorMonotoneSpec.custom(np.sqrt)
@@ -127,6 +129,22 @@ def test_zero_mass_points_of_rho_follow_the_classical_convention():
         f_f_min(rho, sigma, custom)
     with pytest.raises(DomainError, match="zero-mass point"):
         generalized_fidelity_classical(rt.p, rt.q, custom)
+
+
+def test_zero_mass_value_is_the_limit_of_full_rank_rho():
+    # rho_eps = diag(.6, .4 - eps, eps) -> diag(.6, .4, 0): the eps point adds eps^(1 - alpha) .5^alpha
+    sigma = make_density(np.diag([0.2, 0.3, 0.5]))
+    for alpha in (0.25, 0.5, 1.0):
+        f = OperatorMonotoneSpec.power(alpha)
+        limit = f_f_min(make_density(np.diag([0.6, 0.4, 0.0])), sigma, f)
+        epsilons = (1e-4, 1e-7, 1e-10)
+        gaps = [abs(f_f_min(make_density(np.diag([0.6, 0.4 - e, e])), sigma, f) - limit) for e in epsilons]
+        for eps, gap in zip(epsilons, gaps):
+            assert gap <= 2.0 * eps ** (1.0 - alpha) + 1e-15
+        if alpha == 1.0:  # tr sigma for every rho
+            assert abs(limit - 1.0) <= 1e-15 and max(gaps) <= 1e-15
+        else:
+            assert gaps[0] > gaps[1] > gaps[2]
 
 
 def test_f_f_min_is_the_classical_value_of_the_minimal_test_on_either_base():

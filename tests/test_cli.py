@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from revfid.cli import (
     DEFAULT_TOLERANCES,
@@ -21,7 +22,8 @@ from revfid.cli import (
 )
 from revfid.divergences import f_min_pure
 from revfid.errors import ValidationError
-from revfid.states import PureState, make_density
+from revfid.geometry import curve_speeds, fmin_geodesic
+from revfid.states import PureState, make_density, random_density
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -363,3 +365,32 @@ def test_geodesic_deterministic(state_files, tmp_path):
     main(["geodesic", state_files["rho"], state_files["sigma"], "--out", str(a)])
     main(["geodesic", state_files["rho"], state_files["sigma"], "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def _geodesic_csv_via_scipy(rho, sigma, samples):
+    """The geodesic CSV with its lengths from scipy.integrate.cumulative_trapezoid: the reference."""
+    curve = fmin_geodesic(rho, sigma, n_samples=samples)
+    speeds = curve_speeds(curve, "rld")
+    lengths = cumulative_trapezoid(speeds, x=curve.times, initial=0.0)
+    columns = [f"rho_{part}_{i}_{j}" for i, j in np.ndindex(rho.mat.shape) for part in ("re", "im")]
+    lines = [",".join(["t", *columns, "j_rld", "cumulative_length"])]
+    for t, state, speed, length in zip(curve.times, curve.states, speeds, lengths):
+        entries = [x for z in state.mat.ravel() for x in (z.real, z.imag)]
+        lines.append(",".join(f"{x:.12g}" for x in [t, *entries, speed * speed, length]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("samples", [21, 34, 501])
+def test_geodesic_csv_is_byte_identical_to_the_scipy_route(tmp_path, samples):
+    for seed, dim in ((1, 2), (2, 3), (3, 4)):
+        rho, sigma = random_density(dim, dim, seed), random_density(dim, dim, seed + 20)
+        paths = []
+        for name, state in (("rho", rho), ("sigma", sigma)):
+            path = tmp_path / f"{name}{seed}.json"
+            path.write_text(json.dumps({"re": state.mat.real.tolist(), "im": state.mat.imag.tolist()}))
+            paths.append(str(path))
+        out = tmp_path / f"curve{seed}.csv"
+        assert main(["geodesic", *paths, "--samples", str(samples), "--out", str(out)]) == EXIT_OK
+        # the files round-trip the states exactly, so the reference sees the same inputs
+        expected = _geodesic_csv_via_scipy(make_density(rho.mat), make_density(sigma.mat), samples)
+        assert out.read_bytes() == expected.encode()

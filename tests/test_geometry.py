@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import cumulative_trapezoid, simpson
 from scipy.linalg import solve_sylvester
 from scipy.linalg.lapack import zgees, ztrsyl
 
@@ -233,6 +233,60 @@ def test_curve_length_panel_refinement():
     l64 = curve_length(bare, "rld", panels=64)
     l128 = curve_length(bare, "rld", panels=128)
     assert abs(l64 - l128) < 1e-5
+
+
+@pytest.mark.parametrize("panels", [0, 1, -3, 2.5, True])
+def test_curve_length_rejects_bad_panels(panels):
+    curve = fmin_geodesic(random_density(2, 2, 1), random_density(2, 2, 2), 9)
+    with pytest.raises(ValidationError, match="panels must be None or an integer >= 2"):
+        curve_length(curve, "rld", panels=panels)
+
+
+def test_curve_length_accepts_integer_panels():
+    curve = fmin_geodesic(random_density(2, 2, 1), random_density(2, 2, 2), 9)
+    assert curve_length(curve, "rld", panels=np.int64(8)) == curve_length(curve, "rld", panels=8)
+    assert curve_length(curve, "rld", panels=2) > 0.0
+
+
+def _quadrature_grids(n, rng, irregular=1):
+    """A uniform grid, then irregular ones: uniform random points, and steps over six decades."""
+    yield np.linspace(0.0, 1.0, n)
+    for _ in range(irregular):
+        yield np.sort(np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, n - 2))))
+        yield np.cumsum(rng.random(n) ** 3 + 1e-6)
+
+
+def test_simpson_port_is_scipy_simpson_bit_for_bit():
+    # odd n: pairs of intervals only; even n: Cartwright's correction on the last interval,
+    # where numpy's array power and the scalar pow can round the cube differently
+    # (about 1 grid in 400 on an AVX-512 host), hence 50 irregular grids of each kind per n
+    rng = np.random.default_rng(15)
+    for n in range(3, 61):
+        for x in _quadrature_grids(n, rng, irregular=50):
+            y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            assert geometry._simpson(y, x) == simpson(y, x=x)
+
+
+def test_cumulative_trapezoid_is_scipys_bit_for_bit():
+    rng = np.random.default_rng(16)
+    for n in range(2, 61):
+        for x in _quadrature_grids(n, rng):
+            y = rng.random(n)
+            assert np.array_equal(geometry._cumulative_trapezoid(y, x), cumulative_trapezoid(y, x=x, initial=0.0))
+
+
+def test_curve_length_is_scipy_simpson_of_the_speeds():
+    for seed in range(9):
+        dim = 2 + seed % 3
+        for n in (17, 18, 33, 34):
+            curve = fmin_geodesic(random_density(dim, dim, seed), random_density(dim, dim, seed + 40), n)
+            for c in (curve, Curve(curve.times, curve.states)):  # given and finite-difference velocities
+                for metric in ("rld", "sld"):
+                    assert curve_length(c, metric) == simpson(curve_speeds(c, metric), x=c.times)
+    bare = Curve(curve.times, curve.states)
+    for panels in (8, 9):
+        grid = geometry._resample(bare, panels)
+        assert curve_length(bare, "rld", panels=panels) == simpson(curve_speeds(grid, "rld"), x=grid.times)
 
 
 def _curve_length_by_sample(curve, metric="rld"):
