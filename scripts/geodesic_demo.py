@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Compare the three routes to the minimal-fidelity geodesic on a random
-qubit pair: the closed-form great circle, the ODE flow, and the
-variational path estimator, all against the scalar value of f_min."""
+"""Compare three routes to the minimal-fidelity geodesic on a random
+qubit pair: the closed form, the exact flow from geodesic_start's initial
+data, and the variational path estimator, all against the scalar value
+of f_min."""
 
 import argparse
 import math

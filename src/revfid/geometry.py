@@ -375,18 +375,16 @@ def _integrate_flow(start: GeodesicState, dt: float, steps: int, deriv_l) -> Cur
 
 
 def commutative_geodesic_flow(start: GeodesicState, dt: float, steps: int) -> Curve:
-    """Flow of 2 dL/dt + L^2 + 1 = 0, drho/dt = L rho (commutative family).
+    """Flow of 2 dL/dt + L^2 + 1 = 0, drho/dt = L rho (commutative family), in closed form.
 
-    The classical RK4 of this matrix system, run on the eigenvalues l of
-    H = rho0^-1/2 L0 rho0^1/2 = U diag(l) U† in the fixed frame N = rho0^1/2 U.
-    H is Hermitian on the constraint rho L† = L rho; a start's residual (at
-    most 1e-8) is projected out. Every RK4 stage of L is a polynomial in L0,
-    so L_k = N diag(l_k) N^-1 and rho_k = N diag(pi_k) N† / tr: each step is
-    the same RK4, with the same dt and stage order, on 2 l' + l^2 + 1 = 0 and
-    pi' = l pi, and the step's Hermitization and trace division become the
-    scalar normalization of pi. That costs O(d * steps) scalar work plus one
-    batched build of the stacks. A step whose constraint residual is above
-    FLOW_CONSTRAINT_TOL, or not finite, stops the flow with a DomainError.
+    With H = rho0^-1/2 L0 rho0^1/2 = U diag(l0) U† (Hermitian on the constraint
+    rho L† = L rho; a start's residual, at most 1e-8, is projected out) and the
+    fixed frame N = rho0^1/2 U, the flow is L = N diag(l) N^-1 and
+    rho = N diag(c^2) N† with c = cos(t/2) + l0 sin(t/2), l = 2c'/c =
+    tan(arctan l0 - t/2): the great circle of fmin_geodesic. The velocity is
+    N diag(l c^2) N†, finite where l is not. Where some c reaches 0, rho meets
+    the cone's boundary and l diverges: the first grid step with c <= 0 stops
+    the flow with a DomainError.
 
     The grid is normalized to [0, 1]; velocities are derivatives with
     respect to the normalized parameter.
@@ -398,49 +396,22 @@ def commutative_geodesic_flow(start: GeodesicState, dt: float, steps: int) -> Cu
     # H in rho0's eigenbasis: diag(w)^-1/2 (V† L0 V) diag(w)^1/2
     ell0, u = np.linalg.eigh(hermitian_part((v.conj().T @ start.rld_matrix @ v) * sw / sw[:, None]))
     n = (v * sw) @ u
-    n_inv = (u.conj().T / sw) @ v.conj().T
 
-    half, sixth = 0.5 * dt, dt / 6.0
-    ells, gains = [], []  # per eigenvalue: l_0..l_steps and pi's factor per step
-    for x in ell0.tolist():
-        ell, gain = [x], []
-        for _ in range(steps):
-            k1 = -0.5 * (x * x + 1.0)
-            x2 = x + half * k1
-            k2 = -0.5 * (x2 * x2 + 1.0)
-            x3 = x + half * k2
-            k3 = -0.5 * (x3 * x3 + 1.0)
-            x4 = x + dt * k3
-            k4 = -0.5 * (x4 * x4 + 1.0)
-            # the stages of pi' = l pi over pi: linear in pi once l's stages are known
-            a2 = x2 * (1.0 + half * x)
-            a3 = x3 * (1.0 + half * a2)
-            a4 = x4 * (1.0 + dt * a3)
-            gain.append(1.0 + sixth * (x + 2 * a2 + 2 * a3 + a4))
-            x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-            ell.append(x)
-        ells.append(ell)
-        gains.append(gain)
-
-    ell = np.array(ells).T
-    pi = np.ones_like(ell)
-    # past a blow-up of l (the flow crossing the cone's boundary) the stacks
-    # overflow; those steps' residuals are then not finite and reject them
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        pi[1:] = np.cumprod(np.array(gains).T, axis=0)
-        pi /= (pi @ np.sum(np.abs(n) ** 2, axis=0))[:, None]
-        rho = (n * pi[:, None, :]) @ n.conj().T
-        l = (n * ell[:, None, :]) @ n_inv
-        vel = total * ((n * (ell * pi)[:, None, :]) @ n.conj().T)
-        residual = np.linalg.norm(rho @ l.conj().swapaxes(1, 2) - l @ rho, axis=(1, 2))
-    rejected = np.flatnonzero(~(residual[1:] <= FLOW_CONSTRAINT_TOL))
-    if rejected.size:
-        k = int(rejected[0]) + 1
-        make_density_stack(rho[1:k], vel[1:k])  # an invalid earlier step is reported first
-        raise _rejected_step(k, residual[k])
+    t = dt * np.arange(steps + 1)
+    cos, sin = np.cos(0.5 * t)[:, None], np.sin(0.5 * t)[:, None]
+    c = cos + ell0 * sin
+    past = np.flatnonzero((c[1:] <= 0.0).any(axis=1))
+    if past.size:
+        # the first l to diverge: the least l0 forward, the largest backward
+        blow_up = 2.0 * math.atan(ell0[0]) + math.pi if dt > 0 else 2.0 * math.atan(ell0[-1]) - math.pi
+        raise DomainError(f"step {past[0] + 1} rejected: L diverges at t = {blow_up:.6g}")
+    # tr rho stays 1 only at unit speed, which a start meets to 1e-6
+    tr = (c * c) @ np.sum(np.abs(n) ** 2, axis=0)
+    rho = (n * (c * c / tr[:, None])[:, None, :]) @ n.conj().T
+    vel = total * ((n * (c * (ell0 * cos - sin) / tr[:, None])[:, None, :]) @ n.conj().T)
     states, velocities = make_density_stack(rho[1:], vel[1:])
-    times = [0.0] + [(k + 1) * dt / total for k in range(steps)]
-    return Curve(np.array(times), (start.state,) + states, (HermitianMatrix(vel[0]),) + velocities)
+    times = np.concatenate(([0.0], t[1:] / total))
+    return Curve(times, (start.state,) + states, (HermitianMatrix(vel[0]),) + velocities)
 
 
 def rld_geodesic_flow(start: GeodesicState, dt: float, steps: int) -> Curve:
@@ -527,6 +498,9 @@ def fr_estimate(
     anchor by +step or -step along a random direction: one stacked call
     re-evaluates, for both signs, only the two segments the anchor joins.
     """
+    for name, value in (("control_points", control_points), ("iterations", iterations)):
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+            raise ValidationError(f"{name} must be an integer >= 0, got {value!r}")
     rho.require_full_rank()
     sigma.require_full_rank()
     rt = minimal_reverse_test(rho, sigma)

@@ -92,6 +92,14 @@ def test_compute_fr_estimate_sandwich(state_files, capsys):
     assert fr == pytest.approx(math.sqrt(0.4) + math.sqrt(0.1), abs=1e-6)
 
 
+@pytest.mark.parametrize("option, value, name", [("--control-points", "-1", "control_points"),
+                                                  ("--iterations", "-4", "iterations")])
+def test_compute_fr_estimate_negative_count_exits_2(state_files, capsys, option, value, name):
+    code = main(["compute", "fr-estimate", state_files["rho"], state_files["sigma"], option, value])
+    assert code == EXIT_INPUT
+    assert f"input error: {name} must be an integer >= 0, got {value}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [

@@ -497,58 +497,95 @@ def test_flow_multi_seed_curve_or_domain_error(dim, flow):
         assert max(abs(np.trace(s.mat).real - 1.0) for s in flow_curve.states) < 1e-6
 
 
+def test_commutative_flow_near_singular_start_curve_or_domain_error():
+    # rho = (1 - eps) R + eps I/d with R of rank ceil(d/2): the flow meets the
+    # cone's boundary only where some weight reaches 0, so a start that close
+    # to it still yields a curve or a DomainError, never an invalid state
+    for i in range(30):
+        dim = 2 + i % 3
+        eps = 10.0 ** rng_for(i, stream=5).uniform(-8.0, -4.0)
+        r = random_density(dim, math.ceil(dim / 2), 1000 + i).mat
+        rho = make_density((1.0 - eps) * r + eps * np.eye(dim) / dim)
+        gs, total = geodesic_start(rho, random_density(dim, dim, 2000 + i))
+        try:
+            flow_curve = commutative_geodesic_flow(gs, total / 500, 500)
+        except DomainError:
+            continue
+        assert len(flow_curve.states) == len(flow_curve.velocities) == 501
+        assert min(s.min_eigenvalue() for s in flow_curve.states) >= -1e-10
+        assert max(abs(np.trace(s.mat).real - 1.0) for s in flow_curve.states) < 1e-6
+
+
+def test_commutative_flow_reaches_sigma_near_the_boundary():
+    # lambda_min(rho) = 9.4e-7: a fixed-step RK4 of the same flow, with the
+    # same 500 steps, leaves the cone at step 3
+    rho, sigma = random_density(3, 3, 457471300), random_density(3, 3, 457471301)
+    assert rho.min_eigenvalue() < 1e-6
+    gs, total = geodesic_start(rho, sigma)
+    flow = commutative_geodesic_flow(gs, total / 500, 500)
+    assert state_distance(flow.states[-1], sigma) < 1e-9
+
+
 def _matrix_rk4_flow(start, dt, steps):
-    """The commutative flow as a d x d matrix RK4 on (rho, L): the route the
-    eigenvalue RK4 of commutative_geodesic_flow replaced."""
+    """The commutative flow as a d x d matrix RK4 on (rho, L): the ODE route
+    that the closed form of commutative_geodesic_flow is checked against."""
     eye = np.eye(start.state.dim)
     return _integrate_flow(start, dt, steps, lambda _r, m: -0.5 * (m @ m + eye))
 
 
 def test_commutative_flow_matches_matrix_rk4():
+    # the matrix RK4 converges to the closed form at order 4: halving the
+    # step divides its global error by 2^4 = 16
     starts = [(dim, seed) for dim in (2, 3, 4) for seed in range(20)] + [(8, 0)]
+    ratios = []
     for dim, seed in starts:
         gs, total = geodesic_start(random_density(dim, dim, seed), random_density(dim, dim, seed + 500))
-        got = commutative_geodesic_flow(gs, total / 500, 500)
-        ref = _matrix_rk4_flow(gs, total / 500, 500)
-        assert np.array_equal(got.times, ref.times)
-        for a, b in zip(got.states, ref.states):
-            assert np.abs(a.mat - b.mat).max() <= 1e-12
-        for a, b in zip(got.velocities, ref.velocities):
-            assert np.abs(a.entries - b.entries).max() <= 1e-12
+        errors = []
+        for steps in (50, 100):
+            got = commutative_geodesic_flow(gs, total / steps, steps)
+            ref = _matrix_rk4_flow(gs, total / steps, steps)
+            assert np.array_equal(got.times, ref.times)
+            errors.append([
+                max(np.abs(a.mat - b.mat).max() for a, b in zip(got.states, ref.states)),
+                max(np.abs(a.entries - b.entries).max() for a, b in zip(got.velocities, ref.velocities)),
+            ])
+        ratios.append(np.divide(*errors))
+    assert np.min(ratios) >= 15.0
+    assert 15.5 <= np.median(ratios) <= 16.5
 
 
 def _rejected_step(flow, gs, dt, steps):
-    with pytest.raises(DomainError, match="constraint residual") as err:
+    with pytest.raises(DomainError, match=r"^step \d+ rejected: ") as err:
         flow(gs, dt, steps)
     return int(str(err.value).split()[1])
 
 
 def test_flows_past_the_arc_end_in_domain_error():
-    # past the arc an eigenvalue l = tan(.) of L blows up where rho's weight
-    # on it reaches 0; RK4's l then grows by orders of magnitude per step, so
-    # the residual crosses the bound within a step of where the matrix route's
-    # differently rounded residual does
+    # past the arc an eigenvalue l = tan(.) of L diverges where rho's weight on
+    # it reaches 0: the closed form stops at the first grid step past that
+    # time; the matrix RK4's l then grows by orders of magnitude per step, and
+    # its residual crosses the bound at that step or the next
     for seed in range(6):
         gs, total = geodesic_start(random_density(3, 3, seed), random_density(3, 3, seed + 500))
         for factor in (1.5, 2.0, 4.0, 8.0):
             dt = factor * total / 500
             got = _rejected_step(commutative_geodesic_flow, gs, dt, 500)
             ref = _rejected_step(_matrix_rk4_flow, gs, dt, 500)
-            assert abs(got - ref) <= 1
+            assert ref - got in (0, 1)
 
 
 @pytest.mark.parametrize(
-    "dt, error, match",
+    "dt, match",
     [
-        # L and rho stay diagonal, so the residual is 0 until l overflows
-        (1.0, DomainError, "step 4 rejected: constraint residual nan"),
-        # RK4 overshoots a weight below 0 before l overflows: that state is reported
-        (3.0, ValidationError, "min eigenvalue"),
+        # l = tan(pi/4 - t/2) diverges at t = pi/2: between steps 1 and 2
+        (1.0, "step 2 rejected: L diverges at t = 1.5708"),
+        (3.0, "step 1 rejected: L diverges at t = 1.5708"),
+        (-1.0, "step 2 rejected: L diverges at t = -1.5708"),
     ],
 )
-def test_commutative_flow_rejects_first_bad_step(dt, error, match):
+def test_commutative_flow_rejects_first_bad_step(dt, match):
     gs = GeodesicState(make_density(np.diag([0.5, 0.5])), np.diag([1.0, -1.0]).astype(complex))
-    with pytest.raises(error, match=match):
+    with pytest.raises(DomainError, match=match):
         commutative_geodesic_flow(gs, dt, 6)
 
 
@@ -951,6 +988,16 @@ def test_fr_keeps_the_plus_trial_when_both_signs_shorten(monkeypatch):
 
     monkeypatch.setattr(geometry, "_segment_lengths", lengths)
     assert fr_estimate(rho, sigma, 1, 1, seed) == pytest.approx(math.cos(0.3 * best), abs=1e-15)
+
+
+def test_fr_estimate_rejects_negative_or_non_integer_counts():
+    rho, sigma = random_density(2, 2, 1), random_density(2, 2, 2)
+    for control_points, iterations, name in ((-1, 20, "control_points"), (2.0, 20, "control_points"),
+                                             (3, -4, "iterations"), (3, True, "iterations")):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer >= 0"):
+            fr_estimate(rho, sigma, control_points, iterations)
+    # zero of each is valid: one segment, no search
+    assert f_min(rho, sigma) - 1e-8 <= fr_estimate(rho, sigma, 0, 0) <= uhlmann_fidelity(rho, sigma) + 1e-8
 
 
 def test_fr_sandwich_random():

@@ -37,6 +37,7 @@ def test_geodesic_demo_runs_and_sandwiches_fr():
     fu = printed(proc.stdout, "uhlmann")
     fr = printed(proc.stdout, "fr_estimate")
     assert fmin - 1e-8 <= fr <= fu + 1e-8
+    assert printed(proc.stdout, "flow endpoint residual") < 1e-5
 
 
 def test_triangle_scan_runs():
