@@ -184,8 +184,7 @@ def make_density(entries) -> DensityMatrix:
 def _prechecked(cls, **fields):
     """Instance of a frozen dataclass whose __post_init__ checks already ran."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)  # bypasses the frozen __setattr__, one call for all fields
     return obj
 
 
@@ -243,7 +242,7 @@ def make_density_stack(
         _prechecked(
             DensityMatrix,
             matrix=_prechecked(HermitianMatrix, entries=m),
-            spectrum=SpectralDecomposition(eigenvalues=w_i, frame=v_i),
+            spectrum=_prechecked(SpectralDecomposition, eigenvalues=w_i, frame=v_i),
         )
         for m, w_i, v_i in zip(out, w, frame)
     )

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +55,8 @@ from revfid.states import (
 
 # a silent overflow or NaN along a flow or a path search fails the test
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -665,7 +671,7 @@ def test_rld_stage_passes_non_finite_on(bad):
 
 def test_rld_stage_unconverged_eigensolve_is_not_finite(monkeypatch):
     # info > 0: whatever zheevd left in w and V, the stage is lost
-    monkeypatch.setattr(geometry, "zheevd", lambda a: (np.ones(2), np.eye(2, dtype=complex), 1))
+    monkeypatch.setattr(geometry, "_zheevd", lambda: lambda a: (np.ones(2), np.eye(2, dtype=complex), 1))
     with np.errstate(invalid="ignore"):  # as the integrator runs its stages
         dl = _rld_stage(np.eye(2) / 2, np.diag([1.0, -1.0]).astype(complex))
     assert np.isnan(dl).all()
@@ -763,22 +769,55 @@ def test_sld_fisher_matches_eigenbasis_formula():
         assert abs(rep.j_sld - j_ref) <= 1e-12 * abs(j_ref)
 
 
-def test_stage_solve_satisfies_euler_lagrange():
+def _unit_speed_point(k):
+    """(rho, L) at unit RLD speed, with L = V rho^-1 for a traceless Hermitian V
+    (so rho L† = L rho); dims cycle 2, 3, 4, 6."""
+    dim = (2, 3, 4, 6)[k % 4]
+    rho = random_density(dim, dim, 90_000 + k).mat
+    g = rng_for(90_000 + k, stream=5).standard_normal((dim, dim, 2)) @ [1.0, 1j]
+    v = g + g.conj().T
+    v -= np.trace(v).real / dim * np.eye(dim)
+    rho_inv = np.linalg.inv(rho)
+    v /= math.sqrt(np.trace(v @ rho_inv @ v).real)
+    return rho, v @ rho_inv
+
+
+def _assert_euler_lagrange(dl, l):
     # the Euler-Lagrange equation of the RLD energy under tr rho = 1 at unit
-    # speed: dL/dt + dL/dt† + L†L + I = 0, with L = V rho^-1 (so rho L† = L rho)
+    # speed: dL/dt + dL/dt† + L†L + I = 0
+    ll = l.conj().T @ l
+    dim = len(l)
+    residual = np.linalg.norm(dl + dl.conj().T + ll + np.eye(dim))
+    assert residual <= 1e-11 * (np.linalg.norm(ll) + math.sqrt(dim))
+
+
+def test_stage_solve_satisfies_euler_lagrange():
     for k in range(80):
-        dim = (2, 3, 4, 6)[k % 4]
-        rho = random_density(dim, dim, 90_000 + k).mat
-        g = rng_for(90_000 + k, stream=5).standard_normal((dim, dim, 2)) @ [1.0, 1j]
-        v = g + g.conj().T
-        v -= np.trace(v).real / dim * np.eye(dim)
-        rho_inv = np.linalg.inv(rho)
-        v /= math.sqrt(np.trace(v @ rho_inv @ v).real)
-        l = v @ rho_inv
-        ll = l.conj().T @ l
-        dl = _rld_stage(rho, l)
-        residual = np.linalg.norm(dl + dl.conj().T + ll + np.eye(dim))
-        assert residual <= 1e-11 * (np.linalg.norm(ll) + math.sqrt(dim))
+        rho, l = _unit_speed_point(k)
+        _assert_euler_lagrange(_rld_stage(rho, l), l)
+
+
+def test_first_stage_solve_loads_its_eigensolver(tmp_path):
+    # a fresh process whose first call is the stage solve: nothing before it
+    # (a flow, another test) has loaded zheevd
+    rho, l = _unit_speed_point(1)
+    np.save(tmp_path / "rho.npy", rho)
+    np.save(tmp_path / "l.npy", l)
+    code = (
+        "import sys, numpy as np\n"
+        "from revfid.geometry import _rld_stage\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        f"rho, l = np.load({str(tmp_path / 'rho.npy')!r}), np.load({str(tmp_path / 'l.npy')!r})\n"
+        f"np.save({str(tmp_path / 'dl.npy')!r}, _rld_stage(rho, l))\n"
+        "assert 'scipy.linalg' in sys.modules"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    dl = np.load(tmp_path / "dl.npy")
+    assert np.isfinite(dl).all()
+    _assert_euler_lagrange(dl, l)
 
 
 CHART_FAILURES = {1: "degenerate chart point", 2: "chart path leaves the positive cone"}
@@ -1042,7 +1081,17 @@ def test_expansion_rejects_cone_exit():
     rho = make_density(np.diag([0.95, 0.05]))
     v = HermitianMatrix(np.diag([1.0, -1.0]))
     with pytest.raises(DomainError):
-        expansion_check(TangentPoint(rho, v), eps_list=(0.5,))
+        expansion_check(TangentPoint(rho, v), eps_list=(0.5, 0.25))
+
+
+@pytest.mark.parametrize(
+    "eps_list",
+    [(), (0.1,), (0.1, 0.1), (0.1, 0.0), (0.1, -0.05), (0.1, np.nan), (0.1, np.inf), 0.1, [[0.1, 0.05]], ("a", "b")],
+)
+def test_expansion_rejects_bad_eps_list(eps_list):
+    # the slope is a line fit in log eps: at least two distinct finite eps > 0
+    with pytest.raises(ValidationError, match="eps_list"):
+        expansion_check(coin_tangent(), eps_list=eps_list)
 
 
 def test_arccos_bound_forms():
