@@ -39,7 +39,6 @@ from .geometry import (
     FisherReport,
     GeodesicState,
     TangentPoint,
-    arccos_bound_holds,
     arccos_product_bound_holds,
     classical_fisher,
     commutative_geodesic_flow,
@@ -63,10 +62,8 @@ from .linalg import (
     geometric_mean,
     matrix_sqrt,
     trace_norm,
-    weighted_geometric_mean,
 )
 from .reverse_tests import (
-    GeneralReverseTestParams,
     ReverseTest,
     VerificationReport,
     general_reverse_test,

@@ -75,7 +75,6 @@ DEFAULT_TOLERANCES = {
     "concavity": 1e-9,
     "multiplicativity": 1e-8,
     "sandwich": 1e-8,
-    "sandwich_commuting": 1e-6,
     "distance_bounds": 1e-9,
     "reverse_test_residual": 1e-7,
     "reverse_test_optimality": 1e-8,
@@ -339,7 +338,7 @@ def _suite_reverse_tests(dim: int, seed: int, tols: dict):
     yield "minimal_rt_prepares_pair", max(rep.rho_residual, rep.sigma_residual), rtol, False
     yield "minimal_rt_achieves_fmin", abs(rt.fidelity() - fmin), 1e-9, False
     a = sample_contraction(t_operator(rho, sigma), seed + 2)
-    grt, _ = general_reverse_test(rho, sigma, a)
+    grt = general_reverse_test(rho, sigma, a)
     grep = verify_reverse_test(grt, rho, sigma, tol=rtol)
     yield "general_rt_prepares_pair", max(grep.rho_residual, grep.sigma_residual), rtol, False
     yield "general_rt_below_fmin", grt.fidelity() - fmin, tols["reverse_test_optimality"], True

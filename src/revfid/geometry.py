@@ -443,25 +443,22 @@ def _rld_stage(r: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _gl_nodes(order: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule on [0, 1]; computed once per order and shared read-only."""
-    x, w = np.polynomial.legendre.leggauss(order)
+def _gl_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """The 8-point Gauss-Legendre rule on [0, 1]; computed once and shared read-only."""
+    x, w = np.polynomial.legendre.leggauss(8)
     nodes, weights = 0.5 * (x + 1.0), 0.5 * w
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
 
 
-_CHART_FAILURES = {1: "degenerate chart point", 2: "chart path leaves the positive cone"}
-
-
-def _segment_lengths(starts: np.ndarray, ends: np.ndarray, order: int = 8):
+def _segment_lengths(starts: np.ndarray, ends: np.ndarray):
     """RLD lengths of rho(u) = GG†/tr, G = A + uD, D = B - A, over (..., d, d)
-    stacks of endpoints A = starts and B = ends, and the (..., order) codes of
-    their nodes: 0 if regular, else a key of _CHART_FAILURES (it raises nothing,
-    and its segment's length is meaningless). J = tr(drho rho^-1 drho) takes one
-    solve per node."""
-    nodes, weights = _gl_nodes(order)
+    stacks of endpoints A = starts and B = ends, and the (..., 8) codes of
+    their nodes: 0 if regular, 1 if tr GG† <= 0, 2 if rho(u) leaves the
+    positive cone (it raises nothing, and a failing segment's length is
+    meaningless). J = tr(drho rho^-1 drho) takes one solve per node."""
+    nodes, weights = _gl_nodes()
     a = np.asarray(starts)
     dg = np.asarray(ends) - a
     ah, dh = a.conj().swapaxes(-1, -2), dg.conj().swapaxes(-1, -2)
@@ -481,16 +478,6 @@ def _segment_lengths(starts: np.ndarray, ends: np.ndarray, order: int = 8):
         rho = np.where(failing[..., None, None] > 0, np.eye(rho.shape[-1]), rho)
     j = np.einsum("...ij,...ji->...", drho, np.linalg.solve(rho, drho)).real
     return np.sum(weights * np.sqrt(np.maximum(j, 0.0)), axis=-1), failing
-
-
-def _chart_length(anchors: Sequence[np.ndarray], order: int = 8) -> float:
-    """RLD length of the path rho(t) = G(t)G(t)†/tr, G piecewise linear through
-    the anchors; the first failing node in path order names the error."""
-    a = np.asarray(anchors)
-    lengths, failing = _segment_lengths(a[:-1], a[1:], order)
-    if failing.any():  # a boolean mask keeps path order
-        raise DomainError(_CHART_FAILURES[failing[failing > 0][0]])
-    return float(lengths.sum())
 
 
 def fr_estimate(
@@ -567,31 +554,15 @@ class ExpansionReport:
     arccos_bound_ok: bool
 
 
-def arccos_bound_holds(grid_step: float = 1e-3, slack: float = 1e-9) -> bool:
-    """arccos F <= sqrt(2 (1-F) (1 + (1-F)/6)) on a uniform grid of F.
-
-    Evaluated exactly as written, and false at every F < 1: with x = 1 - F,
-    arccos(1-x)^2 = 2x + x^2/3 + 4x^3/45 + ... with every term positive, so
-    the right side falls short by about 4x^3/45 in arccos^2 (at F = 0 it is
-    sqrt(7/3) against pi/2).  The form holds as a lower bound on arccos F.
-    See :func:`arccos_product_bound_holds` for the upper bound with the
-    correction factor outside the root, which holds on all of [0, 1].
-    """
-    grid = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
-    lhs = np.arccos(np.clip(grid, 0.0, 1.0))
-    rhs = np.sqrt(2.0 * (1.0 - grid) * (1.0 + (1.0 - grid) / 6.0))
-    return bool(np.all(lhs <= rhs + slack))
+def arccos_product_bound_holds() -> bool:
+    """arccos F <= sqrt(2 (1-F)) * (1 + (1-F)/6) on the grid F = 0, 0.001, ..., 1."""
+    return _arccos_product_bound_ok(np.arange(0.0, 1.0 + 1e-3 / 2, 1e-3))
 
 
-def arccos_product_bound_holds(grid_step: float = 1e-3, slack: float = 1e-9) -> bool:
-    """arccos F <= sqrt(2 (1-F)) * (1 + (1-F)/6) on a uniform grid of F."""
-    return _arccos_product_bound_ok(np.arange(0.0, 1.0 + grid_step / 2, grid_step), slack)
-
-
-def _arccos_product_bound_ok(fidelities, slack: float = 1e-9) -> bool:
-    """arccos F <= sqrt(2 (1-F)) * (1 + (1-F)/6) at every given F."""
+def _arccos_product_bound_ok(fidelities) -> bool:
+    """arccos F <= sqrt(2 (1-F)) * (1 + (1-F)/6), to 1e-9, at every given F."""
     f = np.clip(np.asarray(fidelities, dtype=float), 0.0, 1.0)
-    return bool(np.all(np.arccos(f) <= np.sqrt(2.0 * (1.0 - f)) * (1.0 + (1.0 - f) / 6.0) + slack))
+    return bool(np.all(np.arccos(f) <= np.sqrt(2.0 * (1.0 - f)) * (1.0 + (1.0 - f) / 6.0) + 1e-9))
 
 
 def expansion_check(

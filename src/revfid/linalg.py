@@ -1,5 +1,5 @@
 """Dense Hermitian linear algebra: spectral calculus, PSD square roots,
-geometric means and trace norm.
+the geometric mean and trace norm.
 
 Every operation symmetrizes its input as (H + H†)/2 before decomposing,
 so floating-point drift never leaks non-Hermitian parts downstream.
@@ -16,7 +16,7 @@ from .errors import DimensionMismatchError, DomainError, NotPsdError, Validation
 
 # Eigenvalues above -PSD_TOL_FACTOR * ||H||_F are clipped to zero; anything
 # lower is a hard PSD violation.  Shared by the square root, the support maps
-# and the geometric means so all callers agree on the cone boundary.
+# and the geometric mean so all callers agree on the cone boundary.
 PSD_TOL_FACTOR = 1e-10
 STRICT_POS_FACTOR = 1e-12
 
@@ -150,25 +150,12 @@ def geometric_mean(A, B) -> HermitianMatrix:
     return HermitianMatrix(geometric_mean_from_sqrt(*_mean_operands(A, B, "geometric_mean")))
 
 
-def geometric_mean_from_sqrt(ra: np.ndarray, b: np.ndarray, inner_map=matrix_sqrt) -> np.ndarray:
-    """ra inner_map(ra^-1 B ra^-†) ra† as a plain array, for the invertible
-    root ra = sqrt(A) (inverted by LU); inner_map = matrix_sqrt gives A # B."""
+def geometric_mean_from_sqrt(ra: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A # B = ra sqrt(ra^-1 B ra^-†) ra† as a plain array, for the invertible
+    root ra = sqrt(A) (inverted by LU)."""
     ira = np.linalg.inv(ra)
-    inner = inner_map(HermitianMatrix(ira @ b @ ira.conj().T)).entries
-    return ra @ inner @ ra.conj().T
-
-
-def weighted_geometric_mean(A, B, alpha: float) -> HermitianMatrix:
-    """A #_alpha B = sqrt(A) (A^-1/2 B A^-1/2)^alpha sqrt(A), alpha in (0, 1]."""
-    ra, b = _mean_operands(A, B, "weighted_geometric_mean")
-
-    def power(h: HermitianMatrix) -> HermitianMatrix:
-        w, v = psd_eigh(h.entries)
-        # scalar pow per eigenvalue: numpy's array power rounds some values differently
-        fw = map_spectrum(w, lambda t: t**alpha)
-        return HermitianMatrix(SpectralDecomposition(w, v).function(fw))
-
-    return HermitianMatrix(geometric_mean_from_sqrt(ra, b, power))
+    w, v = psd_eigh(hermitian_part(ira @ b @ ira.conj().T))
+    return ra @ hermitian_part((v * np.sqrt(w)) @ v.conj().T) @ ra.conj().T
 
 
 def trace_norm(X) -> float:

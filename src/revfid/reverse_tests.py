@@ -15,7 +15,7 @@ import numpy as np
 
 from .divergences import _t_weights, classical_fidelity, f_min_pure, t_operator, uhlmann_fidelity
 from .errors import DomainError, RevfidError, ValidationError
-from .linalg import HermitianMatrix, hermitian_part, psd_eigh, require_finite, support_inverse_power, trace_norm
+from .linalg import HermitianMatrix, hermitian_part, require_finite, support_inverse_power, trace_norm
 from .states import DensityMatrix, ProbDist, PureState, make_density, rng_for
 
 COLUMN_NORM_TOL = 1e-9
@@ -59,15 +59,6 @@ class ReverseTest:
 
     def fidelity(self) -> float:
         return classical_fidelity(self.p, self.q)
-
-
-@dataclass(frozen=True)
-class GeneralReverseTestParams:
-    a_matrix: np.ndarray
-    a_prime: np.ndarray
-    c_block: np.ndarray
-    t_tilde: HermitianMatrix
-    frame: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -126,15 +117,20 @@ def sample_contraction(t: HermitianMatrix, seed: int) -> np.ndarray:
     return a
 
 
-def _check_contraction(t: np.ndarray, a: np.ndarray) -> None:
+def _contraction_eigh(t: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(TA, w, v) for a contraction A with TA = A†T >= 0: one eigh of TA's
+    Hermitian part, its eigenvalues w clipped at 0 after the PSD check."""
     scale = max(1.0, np.linalg.norm(t))
     if np.linalg.norm(a, ord=2) > 1.0 + 1e-10:
         raise ValidationError("A is not a contraction")
     ta = t @ a
     if np.linalg.norm(ta - a.conj().T @ t) > 1e-8 * scale:
         raise ValidationError("A violates TA = A†T")
-    if np.linalg.eigvalsh(0.5 * (ta + ta.conj().T))[0] < -1e-8 * scale:
+    ta = hermitian_part(ta)
+    w, v = np.linalg.eigh(ta)
+    if w[0] < -1e-8 * scale:
         raise ValidationError("TA is not PSD")
+    return ta, np.clip(w, 0.0, None), v
 
 
 def _complete_isometry_row(a: np.ndarray, env_extra: int) -> np.ndarray:
@@ -159,7 +155,7 @@ def general_reverse_test(
     sigma: DensityMatrix,
     a: np.ndarray,
     env_dim: int | None = None,
-) -> tuple[ReverseTest, GeneralReverseTestParams]:
+) -> ReverseTest:
     """A-parameterized reverse test over an alphabet of size env_dim.
 
     With A = identity and env_dim = dim this reduces to the minimal test;
@@ -174,16 +170,14 @@ def general_reverse_test(
     a = np.asarray(a, dtype=complex)
     if a.shape != (d, d):
         raise ValidationError(f"contraction must be {d}x{d}, got {a.shape}")
-    _check_contraction(t, a)
+    ta, w_ta, v_ta = _contraction_eigh(t, a)
 
     k = env_dim - d
     a_prime = _complete_isometry_row(a, k)
-    ta = hermitian_part(t @ a)
     tap = t @ a_prime
     # Schur complement of this C against the TA block is eps * I, so the
     # assembled block matrix stays PSD without any search.
     eps = 1e-9 * float(np.trace(t).real)
-    w_ta, v_ta = psd_eigh(ta)
     ta_pinv = (v_ta * support_inverse_power(w_ta, 1.0)) @ v_ta.conj().T
     c = tap.conj().T @ ta_pinv @ tap + eps * np.eye(k)
     t_tilde = HermitianMatrix(
@@ -204,11 +198,7 @@ def general_reverse_test(
     # q_x = ||sqrt(rho) [TA, TA'] f_x||^2 = t_x^2 p_x keeps sum_x q_x = tr sigma;
     # C can put a huge t_x on a tiny p_x, where t_x^2 p_x loses that mass
     q = np.linalg.norm(sr @ t_tilde.entries[:d] @ frame[:, keep], axis=0) ** 2
-    rt = ReverseTest(prep=cols / norms, p=ProbDist(p), q=ProbDist(q))
-    params = GeneralReverseTestParams(
-        a_matrix=a, a_prime=a_prime, c_block=c, t_tilde=t_tilde, frame=frame
-    )
-    return rt, params
+    return ReverseTest(prep=cols / norms, p=ProbDist(p), q=ProbDist(q))
 
 
 def pure_target_reverse_test(rho: DensityMatrix, phi: PureState) -> ReverseTest:

@@ -79,7 +79,7 @@ def test_criterion_2_minimal_reverse_test_optimality():
         t = t_operator(rho, sigma)
         for j in range(20):
             a = sample_contraction(t, 50_000 + 100 * i + j)
-            grt, _ = general_reverse_test(rho, sigma, a)
+            grt = general_reverse_test(rho, sigma, a)
             worst_opt = max(worst_opt, grt.fidelity() - fmin)
     ok = worst_eq <= 1e-9 and worst_opt <= 1e-8
     verdict(2, ok, f"equality gap {worst_eq:.3e}, optimality excess {worst_opt:.3e}")
@@ -308,7 +308,7 @@ def test_criterion_10_inequality_suite():
     if np.any(lower > np.arccos(grid) + 1e-9):
         ok = False
         details.append("arccos lower bound fails on the 1001-point grid")
-    if not arccos_product_bound_holds(grid_step=1e-3, slack=1e-9):
+    if not arccos_product_bound_holds():
         ok = False
         details.append("arccos upper bound fails on the 1001-point grid")
     verdict(10, ok, "; ".join(details) or "all inequalities hold")

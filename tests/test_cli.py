@@ -166,8 +166,12 @@ def test_missing_file_exits_2(state_files, capsys):
         ('{"p": [NaN, 1.0]}', "bad.json: probability vector has non-finite entries"),
         ('{"p": null}', "bad.json: probability vector has non-finite entries"),
         ("3", "bad.json: expected a JSON object"),
+        ('{"im": [[0.5, 0], [0, 0.5]]}', "bad.json: missing 're' field"),
+        ('{"dim": 3, "re": [[0.5, 0], [0, 0.5]]}', "bad.json: matrix shape does not match dim 3"),
+        ('{"re": [[1, 0], [0, 1]]}', "bad.json: trace 2.0 deviates from 1 by more than 1e-08"),
     ],
-    ids=["syntax", "string", "ragged", "dim", "dim_fraction", "p_string", "p_nan", "p_null", "not_object"],
+    ids=["syntax", "string", "ragged", "dim", "dim_fraction", "p_string", "p_nan", "p_null", "not_object",
+         "no_re", "dim_mismatch", "trace_2"],
 )
 def test_malformed_json_exits_2(tmp_path, capsys, text, diagnostic):
     bad = tmp_path / "bad.json"
@@ -175,6 +179,13 @@ def test_malformed_json_exits_2(tmp_path, capsys, text, diagnostic):
     code = main(["compute", "fmin", str(bad), str(bad)])
     assert code == EXIT_INPUT
     assert diagnostic in capsys.readouterr().err
+
+
+def test_distribution_against_a_state_file_exits_2(state_files, tmp_path, capsys):
+    p = tmp_path / "p.json"
+    p.write_text('{"p": [0.5, 0.5]}')
+    assert main(["compute", "fidelity", str(p), state_files["rho"]]) == EXIT_INPUT
+    assert "rho.json: missing 'p' field" in capsys.readouterr().err
 
 
 def test_overflowing_entries_name_the_file_without_warnings(tmp_path):
@@ -257,7 +268,21 @@ def test_suite_tolerance_override(capsys):
 
 
 def test_suite_bad_tolerance_exits_2(capsys):
-    assert main(["suite", "sandwich", "--trials", "1", "--tol", "nonsense=1"]) == EXIT_INPUT
+    for tol, message in [
+        ("nonsense=1", "unknown tolerance 'nonsense'"),
+        ("sandwich_commuting=1e-6", "unknown tolerance 'sandwich_commuting'"),
+        ("monotonicity", "--tol expects name=value"),
+        ("monotonicity=abc", "bad tolerance value 'abc'"),
+    ]:
+        assert main(["suite", "sandwich", "--trials", "1", "--tol", tol]) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_TOLERANCES))
+def test_every_tolerance_is_read_by_a_check(name):
+    # at -inf every check that reads the tolerance fails, whatever its residual
+    cfg = RunConfig(seed=3, trials=1, dims=(2,), tolerances={**DEFAULT_TOLERANCES, name: -math.inf})
+    assert run_suite("all", cfg).failures
 
 
 def test_run_config_validation():

@@ -17,7 +17,6 @@ from revfid.geometry import (
     Curve,
     GeodesicState,
     TangentPoint,
-    arccos_bound_holds,
     arccos_product_bound_holds,
     classical_fisher,
     commutative_geodesic_flow,
@@ -34,7 +33,6 @@ from revfid.geometry import (
     tangent_reverse_estimation,
 )
 from revfid.geometry import (
-    _chart_length,
     _fd_velocities,
     _gl_nodes,
     _integrate_flow,
@@ -199,6 +197,31 @@ def test_curve_length_needs_samples():
         curve_length(
             Curve(np.array([0.0, 1.0]), (rho, rho)), "rld"
         )
+
+
+@pytest.mark.parametrize(
+    "times, n_states, n_velocities, match",
+    [
+        ([0.0, 0.5, 1.0], 2, None, "times and states must have equal length"),
+        ([[0.0, 1.0]], 2, None, "times and states must have equal length"),
+        ([0.0, 0.5, 0.5], 3, None, "time grid must be strictly increasing"),
+        ([0.0, 0.5, 1.0], 3, 2, "velocities length must match states"),
+    ],
+)
+def test_curve_rejects_malformed_grids(times, n_states, n_velocities, match):
+    rho = random_density(2, 2, 1)
+    vels = None if n_velocities is None else (HermitianMatrix(np.zeros((2, 2))),) * n_velocities
+    with pytest.raises(ValidationError, match=match):
+        Curve(np.array(times), (rho,) * n_states, vels)
+
+
+def test_curve_length_of_one_state_is_zero():
+    assert curve_length(Curve(np.array([0.0]), (random_density(2, 2, 1),)), "rld") == 0.0
+
+
+def test_fmin_geodesic_needs_two_samples():
+    with pytest.raises(ValidationError, match="need at least 2 samples"):
+        fmin_geodesic(random_density(2, 2, 1), random_density(2, 2, 2), n_samples=1)
 
 
 def test_curve_length_rejects_unknown_metric():
@@ -383,6 +406,8 @@ def test_flow_rejects_bad_constraint():
         (np.array([1.0, -1.0], dtype=complex), DimensionMismatchError, "shape"),
         (np.diag([1.0, np.nan]).astype(complex), ValidationError, "L has non-finite"),
         (np.diag([np.inf, -1.0]).astype(complex), ValidationError, "L has non-finite"),
+        # meets rho L† = L rho, but tr(L rho) = 1/2
+        (0.5 * np.eye(2, dtype=complex), ValidationError, r"start violates tr\(L rho\) = 0"),
     ],
 )
 def test_flow_rejects_malformed_l(flow, l, error, match):
@@ -422,6 +447,13 @@ def test_geodesic_start_is_unit_speed():
     assert j == pytest.approx(1.0, abs=1e-8)
     assert gs.constraint_residual() < 1e-8
     assert abs(np.trace(gs.rld_matrix @ rho.mat).real) < 1e-8
+
+
+def test_geodesic_start_at_the_target_is_at_rest():
+    rho = random_density(3, 3, 6)
+    gs, total = geodesic_start(rho, rho)
+    assert total == 0.0
+    assert gs.state is rho and np.array_equal(gs.rld_matrix, np.zeros((3, 3)))
 
 
 def test_commutative_flow_matches_classical_closed_form():
@@ -823,10 +855,10 @@ def test_first_stage_solve_loads_its_eigensolver(tmp_path):
 CHART_FAILURES = {1: "degenerate chart point", 2: "chart path leaves the positive cone"}
 
 
-def _segment_by_node(g0, g1, order=8):
+def _segment_by_node(g0, g1):
     """Independent route for one segment, one node at a time: its length
     and each node's failure code (0 regular, else a key of CHART_FAILURES)."""
-    nodes, weights = _gl_nodes(order)
+    nodes, weights = _gl_nodes()
     dg = g1 - g0
     length, codes = 0.0, []
     for u, w in zip(nodes, weights):
@@ -849,16 +881,27 @@ def _segment_by_node(g0, g1, order=8):
     return length, codes
 
 
-def _chart_length_by_node(anchors, order=8):
+def _chart_length_by_node(anchors):
     """Independent route: one node at a time, in path order."""
     total = 0.0
     for g0, g1 in zip(anchors[:-1], anchors[1:]):
-        length, codes = _segment_by_node(g0, g1, order)
+        length, codes = _segment_by_node(g0, g1)
         for code in codes:
             if code:
                 raise DomainError(CHART_FAILURES[code])
         total += length
     return total
+
+
+def _chart_length(anchors):
+    """RLD length of the path rho(t) = G(t)G(t)†/tr, G piecewise linear through
+    the anchors, by one stacked _segment_lengths call; the first failing node
+    in path order names the error."""
+    a = np.asarray(anchors)
+    lengths, failing = _segment_lengths(a[:-1], a[1:])
+    if failing.any():  # a boolean mask keeps path order
+        raise DomainError(CHART_FAILURES[failing[failing > 0][0]])
+    return float(lengths.sum())
 
 
 def test_segment_lengths_stacked_matches_node_loop():
@@ -1015,7 +1058,7 @@ def test_fr_keeps_the_plus_trial_when_both_signs_shorten(monkeypatch):
     direction = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     anchor = []
 
-    def lengths(starts, ends, order=8):
+    def lengths(starts, ends):
         shape = np.shape(starts)[:-2]
         if shape == (2,):  # the whole path: two segments, each as long as the closed form
             anchor.append(ends[0])
@@ -1023,7 +1066,7 @@ def test_fr_keeps_the_plus_trial_when_both_signs_shorten(monkeypatch):
         else:  # both trials shorten; the move along -direction shortens more
             plus = [np.vdot(direction, ends[k, 0] - anchor[0]).real > 0 for k in range(2)]
             out = np.array([[0.3 * best if p else 0.1 * best] * 2 for p in plus])
-        return out, np.zeros(shape + (order,), dtype=int)
+        return out, np.zeros(shape + (8,), dtype=int)
 
     monkeypatch.setattr(geometry, "_segment_lengths", lengths)
     assert fr_estimate(rho, sigma, 1, 1, seed) == pytest.approx(math.cos(0.3 * best), abs=1e-15)
@@ -1084,6 +1127,11 @@ def test_expansion_rejects_cone_exit():
         expansion_check(TangentPoint(rho, v), eps_list=(0.5, 0.25))
 
 
+def test_expansion_rejects_unknown_fidelity():
+    with pytest.raises(ValidationError, match="which must be 'fmin' or 'uhlmann'"):
+        expansion_check(coin_tangent(), which="sld")
+
+
 @pytest.mark.parametrize(
     "eps_list",
     [(), (0.1,), (0.1, 0.1), (0.1, 0.0), (0.1, -0.05), (0.1, np.nan), (0.1, np.inf), 0.1, [[0.1, 0.05]], ("a", "b")],
@@ -1095,8 +1143,13 @@ def test_expansion_rejects_bad_eps_list(eps_list):
 
 
 def test_arccos_bound_forms():
-    # as an upper bound, the form with the correction factor inside the root
-    # fails at every F < 1 (by about 4(1-F)^3/45 in arccos^2; it is a lower
-    # bound); with the factor outside the root it holds on all of [0, 1]
-    assert not arccos_bound_holds()
+    # as an upper bound, the checklist's form with the correction factor inside
+    # the root fails at every F < 1: with x = 1 - F, arccos(1-x)^2 = 2x + x^2/3
+    # + 4x^3/45 + ... with every term positive, so the root falls short by about
+    # 4x^3/45 in arccos^2 (at F = 0 it is sqrt(7/3) against pi/2); it is a lower
+    # bound. With the factor outside the root it holds on all of [0, 1].
+    grid = np.arange(0.0, 1.0 + 1e-3 / 2, 1e-3)
+    inside = np.sqrt(2.0 * (1.0 - grid) * (1.0 + (1.0 - grid) / 6.0))
+    assert not np.all(np.arccos(grid) <= inside + 1e-9)
+    assert np.all(np.arccos(grid[:-1]) > inside[:-1])  # at every grid point F < 1
     assert arccos_product_bound_holds()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from revfid.divergences import OperatorMonotoneSpec, f_f_min
 from revfid.errors import DimensionMismatchError, DomainError, NotPsdError, ValidationError
 from revfid.linalg import (
     HermitianMatrix,
@@ -9,8 +10,8 @@ from revfid.linalg import (
     map_spectrum,
     matrix_sqrt,
     trace_norm,
-    weighted_geometric_mean,
 )
+from revfid.states import random_density
 
 
 def test_hermitian_symmetrizes():
@@ -89,15 +90,27 @@ def test_geometric_mean_rejects_singular_base():
         geometric_mean(np.diag([1.0, 0.0]), np.eye(2))
 
 
+def weighted_geometric_mean(A, B, alpha):
+    """A #_alpha B = A^1/2 (A^-1/2 B A^-1/2)^alpha A^1/2 for A > 0, by two eigh."""
+    w, v = np.linalg.eigh(A)
+    ra, ira = (v * np.sqrt(w)) @ v.conj().T, (v / np.sqrt(w)) @ v.conj().T
+    wi, vi = np.linalg.eigh(ira @ B @ ira)
+    return ra @ (vi * np.clip(wi, 0.0, None) ** alpha) @ vi.conj().T @ ra
+
+
 def test_weighted_geometric_mean_half_matches():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((3, 3))
     b = rng.standard_normal((3, 3))
     A = a @ a.T + 0.2 * np.eye(3)
     B = b @ b.T + 0.2 * np.eye(3)
-    assert np.allclose(
-        weighted_geometric_mean(A, B, 0.5).entries, geometric_mean(A, B).entries, atol=1e-10
-    )
+    assert np.allclose(weighted_geometric_mean(A, B, 0.5), geometric_mean(A, B).entries, atol=1e-10)
+    # as an oracle: tr(rho #_alpha sigma) is F_min for f = x^alpha
+    for seed in range(10):
+        rho, sigma = random_density(3, 3, 90 + seed), random_density(3, 3, 190 + seed)
+        for alpha in (0.25, 0.5, 0.75):
+            ref = np.trace(weighted_geometric_mean(rho.mat, sigma.mat, alpha)).real
+            assert abs(f_f_min(rho, sigma, OperatorMonotoneSpec.power(alpha)) - ref) <= 1e-10
 
 
 def test_trace_norm_jordan_block():

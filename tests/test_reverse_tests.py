@@ -91,7 +91,7 @@ def test_sample_contraction_constraints():
 
 def test_general_reverse_test_identity_recovers_minimal():
     rho, sigma = qubit_pair(2)
-    rt, _ = general_reverse_test(rho, sigma, np.eye(2))
+    rt = general_reverse_test(rho, sigma, np.eye(2))
     assert verify_reverse_test(rt, rho, sigma, tol=1e-7).passes
     assert abs(rt.fidelity() - f_min(rho, sigma)) < 1e-7
 
@@ -100,7 +100,7 @@ def test_general_reverse_test_strict_contraction_loses():
     rho, sigma = qubit_pair(13)
     t = t_operator(rho, sigma)
     a = 0.6 * sample_contraction(t, 13)
-    rt, _ = general_reverse_test(rho, sigma, a)
+    rt = general_reverse_test(rho, sigma, a)
     assert verify_reverse_test(rt, rho, sigma, tol=1e-7).passes
     assert rt.fidelity() < f_min(rho, sigma) - 1e-6
 
@@ -109,6 +109,15 @@ def test_general_reverse_test_rejects_invalid_a():
     rho, sigma = qubit_pair(5)
     with pytest.raises(ValidationError):
         general_reverse_test(rho, sigma, 2.0 * np.eye(2))
+
+
+def test_general_reverse_test_rejects_a_with_ta_just_below_the_cone():
+    # TA = diag(0.5, -1e-9) passes the contraction check's -1e-8 cut; the test
+    # is then built from TA clipped at 0, and A fails as an input, not as an
+    # internal matrix the caller never passed
+    rho = random_density(2, 2, 3)
+    with pytest.raises(ValidationError, match="A is outside the valid family"):
+        general_reverse_test(rho, rho, np.diag([0.5, -1e-9]))
 
 
 def test_general_reverse_test_env_too_small():

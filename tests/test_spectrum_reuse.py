@@ -35,7 +35,7 @@ from revfid.geometry import (
     tangent_reverse_estimation,
 )
 from revfid.linalg import HermitianMatrix, eig_hermitian, matrix_sqrt
-from revfid.reverse_tests import general_reverse_test, hidden_pair, minimal_reverse_test
+from revfid.reverse_tests import general_reverse_test, hidden_pair, minimal_reverse_test, sample_contraction
 from revfid.states import (
     DensityMatrix,
     apply_channel,
@@ -288,6 +288,17 @@ def test_one_decomposition_per_call_on_validated_pair(call, decompositions):
     decompositions.update(eigh=0, eigvalsh=0)  # the states' own validation is done
     call(rho, sigma)
     assert decompositions["eigh"] + decompositions["eigvalsh"] == 1
+
+
+def test_general_reverse_test_decomposes_ta_once(decompositions):
+    # T, TA (checked and inverted from one eigh), the isometry completion
+    # I - AA†, and the assembled block matrix
+    rho = random_density(3, 3, 1)
+    sigma = random_density(3, 3, 2)
+    a = sample_contraction(t_operator(rho, sigma), 5)
+    decompositions.update(eigh=0, eigvalsh=0)
+    general_reverse_test(rho, sigma, a)
+    assert decompositions["eigh"] + decompositions["eigvalsh"] == 4
 
 
 def test_fr_estimate_takes_f_min_from_its_geodesic(decompositions):
