@@ -102,28 +102,41 @@ class GeodesicState:
 
 def _lyapunov_solve(w: np.ndarray, v: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """X with A X + X A = rhs for Hermitian A = V diag(w) V†, V unitary:
-    X = V ((V† rhs V) / (w_i + w_j)) V†. The one Lyapunov solver of the
-    package; rhs need not be Hermitian."""
+    X = V ((V† rhs V) / (w_i + w_j)) V†, for any rhs. sld_fisher applies the
+    same formula to the velocity it holds in rho's eigenbasis."""
     vh = v.conj().T
     return v.dot(vh.dot(rhs).dot(v) / (w[:, None] + w)).dot(vh)
 
 
-def sld_fisher(tp: TangentPoint) -> FisherReport:
-    """Solve drho = (L rho + rho L)/2 and return J^S = tr L^2 rho."""
+def _tangent_eigenbasis(tp: TangentPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, V, X): rho = V diag(w) V† from the stored spectrum, and the velocity
+    X = V† drho V in that basis."""
     tp.state.require_full_rank()
     w, v = tp.state.spectrum.eigenvalues, tp.state.spectrum.frame
-    sld = HermitianMatrix(_lyapunov_solve(w, v, 2.0 * tp.velocity.entries))
-    j = float(np.trace(sld.entries @ tp.velocity.entries).real)
-    return FisherReport(j_sld=max(j, 0.0), sld=sld)
+    return w, v, v.conj().T @ tp.velocity.entries @ v
+
+
+def _fisher_information(w: np.ndarray, x2: np.ndarray, metric: str) -> np.ndarray:
+    """J over (..., d, d) stacks of |X_ij|^2, X the velocity in the eigenbasis of
+    rho = V diag(w) V†: sum |X_ij|^2 / w_j (RLD) or sum 2 |X_ij|^2 / (w_i + w_j) (SLD)."""
+    if metric == "rld":
+        return np.sum(x2 / w[..., None, :], axis=(-2, -1))
+    return np.sum(2.0 * x2 / (w[..., :, None] + w[..., None, :]), axis=(-2, -1))
+
+
+def sld_fisher(tp: TangentPoint) -> FisherReport:
+    """L = V (2 X_ij / (w_i + w_j)) V†, which solves drho = (L rho + rho L)/2,
+    and J^S = tr L^2 rho."""
+    w, v, x = _tangent_eigenbasis(tp)
+    sld = HermitianMatrix(v.dot(2.0 * x / (w[:, None] + w)).dot(v.conj().T))
+    return FisherReport(j_sld=float(_fisher_information(w, np.abs(x) ** 2, "sld")), sld=sld)
 
 
 def rld_fisher(tp: TangentPoint) -> FisherReport:
-    """L = drho rho^-1 and J^R = tr(drho rho^-1 drho)."""
-    tp.state.require_full_rank()
-    inv = np.linalg.inv(tp.state.mat)
-    rld = tp.velocity.entries @ inv
-    j = float(np.trace(tp.velocity.entries @ inv @ tp.velocity.entries).real)
-    return FisherReport(j_rld=max(j, 0.0), rld=rld)
+    """L = drho rho^-1 = V (X_ij / w_j) V† and J^R = tr(drho rho^-1 drho)."""
+    w, v, x = _tangent_eigenbasis(tp)
+    rld = v.dot(x / w).dot(v.conj().T)
+    return FisherReport(j_rld=float(_fisher_information(w, np.abs(x) ** 2, "rld")), rld=rld)
 
 
 def fisher_both(tp: TangentPoint) -> FisherReport:
@@ -136,16 +149,17 @@ def tangent_reverse_estimation(
     tp: TangentPoint,
 ) -> tuple[np.ndarray, ProbDist, SignedVector]:
     """Minimal tangent reverse estimation (N, p, dp) with N p N† = rho and
-    N dp N† = drho; the classical Fisher information of (p, dp) equals J^R."""
-    tp.state.require_full_rank()
-    sr = tp.state.sqrt()
-    isr = np.linalg.inv(sr)
-    w, frame = np.linalg.eigh(hermitian_part(isr @ tp.velocity.entries @ isr))
-    cols = sr @ frame
+    N dp N† = drho; the classical Fisher information of (p, dp) equals J^R.
+
+    rho^-1/2 drho rho^-1/2 is X_ij / sqrt(w_i w_j) in rho's eigenbasis; with its
+    eigenvectors U, N's columns are those of V diag(sqrt w) U, normalized."""
+    w, v, x = _tangent_eigenbasis(tp)
+    sw = np.sqrt(w)
+    lam, u = np.linalg.eigh(hermitian_part(x / np.outer(sw, sw)))
+    cols = (v * sw).dot(u)
     norms = np.linalg.norm(cols, axis=0)
     p = norms**2
-    dp = w * p
-    return cols / norms, ProbDist(p), SignedVector(dp, total=0.0)
+    return cols / norms, ProbDist(p), SignedVector(lam * p, total=0.0)
 
 
 def classical_fisher(p: ProbDist, dp: SignedVector) -> float:
@@ -270,10 +284,7 @@ def curve_speeds(curve: Curve, metric: str = "rld") -> np.ndarray:
     vanishing = ~kernel[:, None, :] | (d <= FULL_RANK_MIN_EIG**2)
     limit = kernel.any(axis=1) & vanishing.all(axis=(1, 2))
     w = np.maximum(w, 1e-290)
-    if metric == "rld":
-        j = np.sum(d / w[:, None, :], axis=(1, 2))
-    else:
-        j = np.sum(2.0 * d / (w[:, :, None] + w[:, None, :]), axis=(1, 2))
+    j = _fisher_information(w, d, metric)
     j[limit] = 0.0
     if not np.all(np.isfinite(j)) or np.any(j > 1e15):
         raise DomainError("metric undefined: velocity leaves the support of a singular state")

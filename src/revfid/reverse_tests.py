@@ -133,56 +133,41 @@ def _contraction_eigh(t: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndar
     return ta, np.clip(w, 0.0, None), v
 
 
-def _complete_isometry_row(a: np.ndarray, env_extra: int) -> np.ndarray:
-    """A' with A A† + A' A'† = I, placed in d x env_extra."""
+def _complete_isometry_row(a: np.ndarray) -> np.ndarray:
+    """A' (d x d) with A A† + A' A'† = I, its nonzero columns first."""
     d = a.shape[0]
     m = np.eye(d) - a @ a.conj().T
     w, e = np.linalg.eigh(0.5 * (m + m.conj().T))
     w = np.clip(w, 0.0, None)
     nonzero = np.where(w > 1e-12)[0]
-    if len(nonzero) > env_extra:
-        raise ValidationError(
-            f"env_dim too small: completing the isometry needs {len(nonzero)} "
-            f"extra columns, only {env_extra} available"
-        )
-    a_prime = np.zeros((d, env_extra), dtype=complex)
+    a_prime = np.zeros((d, d), dtype=complex)
     a_prime[:, : len(nonzero)] = e[:, nonzero] * np.sqrt(w[nonzero])
     return a_prime
 
 
-def general_reverse_test(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    a: np.ndarray,
-    env_dim: int | None = None,
-) -> ReverseTest:
-    """A-parameterized reverse test over an alphabet of size env_dim.
+def general_reverse_test(rho: DensityMatrix, sigma: DensityMatrix, a: np.ndarray) -> ReverseTest:
+    """A-parameterized reverse test over an alphabet of at most 2 dim letters.
 
-    With A = identity and env_dim = dim this reduces to the minimal test;
-    strict contractions give strictly smaller classical fidelity.
+    With A = identity the extra letters get no weight and are dropped, which
+    leaves the minimal test; strict contractions give strictly smaller
+    classical fidelity.
     """
     d = rho.dim
-    if env_dim is None:
-        env_dim = 2 * d
-    if env_dim < d:
-        raise ValidationError(f"env_dim {env_dim} must be >= dim {d}")
     t = t_operator(rho, sigma).entries
     a = np.asarray(a, dtype=complex)
     if a.shape != (d, d):
         raise ValidationError(f"contraction must be {d}x{d}, got {a.shape}")
+    require_finite(a, "contraction A")
     ta, w_ta, v_ta = _contraction_eigh(t, a)
 
-    k = env_dim - d
-    a_prime = _complete_isometry_row(a, k)
+    a_prime = _complete_isometry_row(a)
     tap = t @ a_prime
     # Schur complement of this C against the TA block is eps * I, so the
     # assembled block matrix stays PSD without any search.
     eps = 1e-9 * float(np.trace(t).real)
     ta_pinv = (v_ta * support_inverse_power(w_ta, 1.0)) @ v_ta.conj().T
-    c = tap.conj().T @ ta_pinv @ tap + eps * np.eye(k)
-    t_tilde = HermitianMatrix(
-        np.block([[ta, tap], [tap.conj().T, c]]) if k else ta
-    )
+    c = tap.conj().T @ ta_pinv @ tap + eps * np.eye(d)
+    t_tilde = HermitianMatrix(np.block([[ta, tap], [tap.conj().T, c]]))
     scale = max(1.0, t_tilde.fro_norm())
     w, frame = np.linalg.eigh(t_tilde.entries)
     if w[0] < -1e-7 * scale:

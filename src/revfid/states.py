@@ -332,11 +332,11 @@ def tensor(rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:
     return make_density(np.kron(rho.mat, sigma.mat))
 
 
-def random_tangent(dim: int, seed: int, scale: float = 0.2) -> tuple[DensityMatrix, HermitianMatrix]:
+def random_tangent(dim: int, seed: int) -> tuple[DensityMatrix, HermitianMatrix]:
     """Full-rank state plus a traceless Hermitian velocity (property-suite fuel).
 
     The velocity is scaled relative to the state's smallest eigenvalue so
-    that rho + eps * v stays PSD for eps up to roughly 1/scale.
+    that rho + eps * v stays PSD for eps up to at least 5 / dim.
     """
     rho = random_density(dim, dim, seed)
     g = _ginibre(rng_for(seed, stream=1), dim, dim)
@@ -344,7 +344,7 @@ def random_tangent(dim: int, seed: int, scale: float = 0.2) -> tuple[DensityMatr
     v = v - np.trace(v).real * np.eye(dim) / dim
     norm = np.linalg.norm(v)
     if norm > 0:
-        v = v * (scale * rho.min_eigenvalue() / norm) * dim
+        v = v * (0.2 * rho.min_eigenvalue() / norm) * dim
     return rho, HermitianMatrix(v)
 
 

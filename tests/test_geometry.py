@@ -147,6 +147,57 @@ def test_tangent_estimation_achieves_rld():
     assert np.linalg.norm((n * dp.values) @ n.conj().T - v.entries) < 1e-8
 
 
+def _ill_conditioned_point(i):
+    """(rng, U, rho): rho = U diag(w) U† at d = 2..4 with least eigenvalue
+    10^U(-9, -4), and the generator that drew it, for the velocity."""
+    rng = rng_for(i, stream=11)
+    dim = 2 + i % 3
+    lam = 10.0 ** rng.uniform(-9.0, -4.0)
+    w = rng.uniform(0.2, 1.0, dim)
+    w[0] = 0.0
+    w = w / w.sum() * (1.0 - dim * lam) + lam
+    u = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    return rng, u, make_density((u * w) @ u.conj().T)
+
+
+def test_fisher_commuting_tangents_on_ill_conditioned_states():
+    # drho commutes with rho, so J^R = J^S; read from the same (w, X) they stay
+    # equal, where J^R from an inverse of rho can fall below J^S by more than
+    # the ordering check's 1e-9
+    for i in range(400):
+        rng, u, rho = _ill_conditioned_point(i)
+        delta = rng.standard_normal(rho.dim)
+        delta -= delta.mean()
+        rep = fisher_both(TangentPoint(rho, HermitianMatrix((u * delta) @ u.conj().T)))
+        assert abs(rep.j_rld - rep.j_sld) <= 1e-12 * rep.j_rld
+
+
+def test_tangent_estimation_on_ill_conditioned_states():
+    # dp must sum to 0 within 1e-9 while J^R, its classical Fisher
+    # information, reaches 1e9 here
+    for i in range(400):
+        rng, _, rho = _ill_conditioned_point(i)
+        g = rng.standard_normal((rho.dim, rho.dim)) + 1j * rng.standard_normal((rho.dim, rho.dim))
+        v = g + g.conj().T
+        v -= np.trace(v).real / rho.dim * np.eye(rho.dim)
+        tp = TangentPoint(rho, HermitianMatrix(v))
+        _, p, dp = tangent_reverse_estimation(tp)
+        j = rld_fisher(tp).j_rld
+        assert abs(classical_fisher(p, dp) - j) <= 1e-12 * j
+
+
+def test_rld_fisher_matches_inverse_route():
+    # L = drho rho^-1 and J^R = tr(drho rho^-1 drho) by an LU solve, on
+    # well-conditioned points
+    for seed in range(200):
+        rho, v = random_tangent(2 + seed % 3, seed)
+        rld_ref = np.linalg.solve(rho.mat, v.entries).conj().T
+        j_ref = np.trace(v.entries @ np.linalg.solve(rho.mat, v.entries)).real
+        rep = rld_fisher(TangentPoint(rho, v))
+        assert np.linalg.norm(rep.rld - rld_ref) <= 1e-12 * np.linalg.norm(rld_ref)
+        assert abs(rep.j_rld - j_ref) <= 1e-12 * j_ref
+
+
 # ------------------------------------------------------------- geodesics
 
 
@@ -562,6 +613,26 @@ def test_commutative_flow_reaches_sigma_near_the_boundary():
     gs, total = geodesic_start(rho, sigma)
     flow = commutative_geodesic_flow(gs, total / 500, 500)
     assert state_distance(flow.states[-1], sigma) < 1e-9
+
+
+def test_geodesic_start_near_singular_rho():
+    # rho = (1 - eps) R + eps I/d with R of rank ceil(d/2), down to eps = 1e-9:
+    # L0 = drho rho^-1 must pass the flow's own start check, and the flows with
+    # eps >= 1e-8 must reach sigma
+    reached = 0
+    for i in range(300):
+        dim = 2 + i % 3
+        eps = 10.0 ** rng_for(i, stream=7).uniform(-9.0, 0.0)
+        r = random_density(dim, math.ceil(dim / 2), 3000 + i).mat
+        rho = make_density((1.0 - eps) * r + eps * np.eye(dim) / dim)
+        sigma = random_density(dim, dim, 4000 + i)
+        gs, total = geodesic_start(rho, sigma)
+        geometry._check_flow_start(gs, total / 500, 500)
+        if eps >= 1e-8:
+            flow = commutative_geodesic_flow(gs, total / 500, 500)
+            assert state_distance(flow.states[-1], sigma) < 1e-6
+            reached += 1
+    assert reached == 253
 
 
 def _matrix_rk4_flow(start, dt, steps):

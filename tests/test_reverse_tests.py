@@ -120,12 +120,16 @@ def test_general_reverse_test_rejects_a_with_ta_just_below_the_cone():
         general_reverse_test(rho, rho, np.diag([0.5, -1e-9]))
 
 
-def test_general_reverse_test_env_too_small():
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_general_reverse_test_rejects_non_finite_a(bad):
+    # unchecked, a NaN reaches LAPACK (LinAlgError: SVD did not converge) and an
+    # inf warns, then fails on an internal matrix
     rho, sigma = qubit_pair(6)
-    t = t_operator(rho, sigma)
-    a = 0.5 * sample_contraction(t, 6)
-    with pytest.raises(ValidationError):
-        general_reverse_test(rho, sigma, a, env_dim=2)
+    a = 0.5 * sample_contraction(t_operator(rho, sigma), 6)
+    a[0, 1] = bad
+    with pytest.raises(ValidationError, match="contraction A has non-finite entries"):
+        general_reverse_test(rho, sigma, a)
 
 
 def test_pure_target_reverse_test():

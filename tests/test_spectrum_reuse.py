@@ -4,8 +4,8 @@ only the inner operator rho^-1/2 sigma rho^-1/2.
 They are checked against the route they replaced, which decomposes every
 state and intermediate again through the HermitianMatrix wrappers; against
 its typed errors on singular and non-PSD input; and by counting the
-decompositions per call, which also shows that constructing a state from
-a validated one decomposes it once.
+decompositions and inverses per call, which also shows that constructing
+a state from a validated one decomposes it once.
 """
 
 import math
@@ -28,6 +28,7 @@ from revfid.divergences import (
 from revfid.errors import NotPsdError, SingularStateError, ValidationError
 from revfid.geometry import (
     TangentPoint,
+    fisher_both,
     fmin_geodesic,
     fr_estimate,
     rld_fisher,
@@ -233,7 +234,7 @@ def test_non_psd_inputs_raise_as_before():
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    counts = {"eigh": 0, "eigvalsh": 0}
+    counts = {"eigh": 0, "eigvalsh": 0, "inv": 0, "solve": 0}
     for name in counts:
         original = getattr(np.linalg, name)
 
@@ -288,6 +289,22 @@ def test_one_decomposition_per_call_on_validated_pair(call, decompositions):
     decompositions.update(eigh=0, eigvalsh=0)  # the states' own validation is done
     call(rho, sigma)
     assert decompositions["eigh"] + decompositions["eigvalsh"] == 1
+
+
+@pytest.mark.parametrize(
+    "fn, eighs",
+    [(sld_fisher, 0), (rld_fisher, 0), (fisher_both, 0), (tangent_reverse_estimation, 1)],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_tangent_layer_reads_the_stored_spectrum(fn, eighs, decompositions):
+    # the velocity in rho's stored eigenbasis serves every tangent quantity;
+    # only rho^-1/2 drho rho^-1/2 is decomposed, and nothing is inverted
+    rho = random_density(3, 3, 1)
+    vel = HermitianMatrix(random_density(3, 3, 2).mat - rho.mat)
+    tp = TangentPoint(rho, vel)
+    decompositions.update(eigh=0, eigvalsh=0)
+    fn(tp)
+    assert decompositions == {"eigh": eighs, "eigvalsh": 0, "inv": 0, "solve": 0}
 
 
 def test_general_reverse_test_decomposes_ta_once(decompositions):
