@@ -16,9 +16,7 @@ from .linalg import (
     HermitianMatrix,
     SpectralDecomposition,
     geometric_mean_from_sqrt,
-    hermitian_part,
     map_spectrum,
-    psd_eigh,
     support_inverse_power,
     trace_norm,
 )
@@ -52,13 +50,17 @@ def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def t_spectrum(rho: DensityMatrix, sigma: DensityMatrix) -> SpectralDecomposition:
-    """Eigensystem of T = sqrt(rho^-1/2 sigma rho^-1/2), eigenvalues ascending,
-    from rho's stored spectrum and one eigh of the inner operator."""
+    """Eigensystem of T = sqrt(rho^-1/2 sigma rho^-1/2), ascending: for the stored spectra rho = V diag(w) V†,
+    sigma = U diag(s) U†, the singular values t of diag(w^-1/2) V†U diag(s^1/2) and V times its left factor;
+    s <= 1e-14 max(s) (sigma's kernel) and t <= d eps max(t) (LAPACK's error bound) read as 0."""
     _check_dims(rho, sigma)
     rho.require_full_rank(_SINGULAR.format("rho"))
-    ir = rho.spectrum.function(1.0 / np.sqrt(rho.spectrum.eigenvalues))
-    w_inner, frame = psd_eigh(hermitian_part(ir @ sigma.mat @ ir))
-    return SpectralDecomposition(eigenvalues=np.sqrt(w_inner), frame=frame)
+    w, v = rho.spectrum.eigenvalues, rho.spectrum.frame
+    s, u = sigma.spectrum.eigenvalues, sigma.spectrum.frame
+    root_s = np.sqrt(np.where(s > 1e-14 * s[-1], s, 0.0))
+    left, t, _ = np.linalg.svd((v.conj().T @ u) * root_s / np.sqrt(w)[:, None])
+    t = np.where(t > len(t) * np.finfo(float).eps * t[0], t, 0.0)
+    return SpectralDecomposition(eigenvalues=t[::-1], frame=(v @ left)[:, ::-1])
 
 
 def _t_base(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix, bool]:
@@ -71,13 +73,14 @@ def _t_base(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[DensityMatrix, De
     return base, other, swapped
 
 
-def _t_weights(rho: DensityMatrix, sigma: DensityMatrix):
-    """(t, b, frame, B, B is sigma): the eigensystem (t_x, e_x) of T = sqrt(B^-1/2 other B^-1/2)
-    and b_x = <e_x|B|e_x>, so tr(B g(T)) = sum_x g(t_x) b_x."""
+def _minimal_test(rho: DensityMatrix, sigma: DensityMatrix):
+    """(p, q, frame, B, B is sigma): the minimal reverse test's weights p for rho, q for sigma on the
+    eigenframe e_x of T = sqrt(B^-1/2 other B^-1/2), t_x ascending: B's b_x = <e_x|B|e_x>, the other's t_x^2 b_x."""
     base, other, swapped = _t_base(rho, sigma)
     spec = t_spectrum(base, other)
     b = np.sum(spec.frame.conj() * (base.mat @ spec.frame), axis=0).real
-    return spec.eigenvalues, b, spec.frame, base, swapped
+    p, q = (spec.eigenvalues**2 * b, b) if swapped else (b, spec.eigenvalues**2 * b)
+    return p, q, spec.frame, base, swapped
 
 
 def t_operator(rho: DensityMatrix, sigma: DensityMatrix) -> HermitianMatrix:
@@ -88,8 +91,8 @@ def t_operator(rho: DensityMatrix, sigma: DensityMatrix) -> HermitianMatrix:
 
 def f_min(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Reverse-test optimal fidelity tr(rho # sigma); the smallest monotone extension."""
-    t, b, *_ = _t_weights(rho, sigma)
-    return float(min(max(t @ b, 0.0), 1.0))
+    p, q, *_ = _minimal_test(rho, sigma)
+    return float(min(np.sum(np.sqrt(p * q)), 1.0))
 
 
 def f_min_via_geomean(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -167,25 +170,24 @@ def generalized_fidelity_classical(p: ProbDist, q: ProbDist, f: OperatorMonotone
     family; a custom map there is rejected.
     """
     _check_sizes(p, q)
-    total = 0.0
-    for pw, qw in zip(p.weights, q.weights):
-        if pw <= 0.0:
-            if qw > 0.0:
-                total += qw * f._slope_at_infinity()
-            continue
-        total += pw * f(qw / pw)
-    return float(total)
+    return _perspective_sum(p.weights, q.weights, f)
+
+
+def _perspective_sum(p: np.ndarray, q: np.ndarray, f: OperatorMonotoneSpec) -> float:
+    """sum_x p(x) f(q(x)/p(x)), with q(x) lim f(t)/t where p(x) = 0 < q(x)."""
+    on = p > 0.0
+    ratio = q[on] / p[on]
+    total = float(p[on] @ map_spectrum(ratio, f))
+    if (q[~on] > 0.0).any():
+        total += float(q[~on].sum()) * f._slope_at_infinity()
+    return total
 
 
 def f_f_min(rho: DensityMatrix, sigma: DensityMatrix, f: OperatorMonotoneSpec) -> float:
-    """Generalized minimal fidelity tr(sqrt(rho) f(T^2) sqrt(rho)); on the base sigma, the
-    transpose map x f(1/x), whose limit at x = 0 (where rho has no mass) is lim f(t)/t,
-    as in the classical form."""
-    t, b, _, _, swapped = _t_weights(rho, sigma)
-    if not swapped:
-        return float(map_spectrum(t, lambda lam: f(lam * lam)) @ b)
-    at_zero = f._slope_at_infinity() if t[0] <= 0.0 else 0.0
-    return float(map_spectrum(t, lambda lam: lam * lam * f(1.0 / (lam * lam)) if lam > 0.0 else at_zero) @ b)
+    """Generalized minimal fidelity tr(sqrt(rho) f(T^2) sqrt(rho)): the classical F_f of
+    the minimal reverse test, zero-mass points of rho included."""
+    p, q, *_ = _minimal_test(rho, sigma)
+    return _perspective_sum(p, q, f)
 
 
 def quasi_entropy_comparison(
@@ -216,26 +218,24 @@ def quasi_entropy_comparison(
 def kl_divergence(p: ProbDist, q: ProbDist) -> float:
     """sum_x p(x) ln(p(x)/q(x)); +inf when supp p is not inside supp q."""
     _check_sizes(p, q)
-    total = 0.0
-    for pw, qw in zip(p.weights, q.weights):
-        if pw <= 0.0:
-            continue
-        if qw <= 0.0:
-            return math.inf
-        total += pw * math.log(pw / qw)
-    return float(total)
+    return _kl(p.weights, q.weights)
+
+
+def _kl(p: np.ndarray, q: np.ndarray) -> float:
+    """sum_x p(x) ln(p(x)/q(x)) over p(x) > 0; +inf when q(x) = 0 there."""
+    on = p > 0.0
+    if (q[on] <= 0.0).any():
+        return math.inf
+    return float(p[on] @ np.log(p[on] / q[on]))
 
 
 def reverse_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """D^R(rho || sigma) = tr rho ln(sqrt(rho) sigma^-1 sqrt(rho))."""
+    """D^R(rho || sigma) = tr rho ln(sqrt(rho) sigma^-1 sqrt(rho)): the KL divergence
+    of the minimal reverse test."""
     _check_dims(rho, sigma)
     sigma.require_full_rank("sigma must be strictly positive for D^R")
-    rs = rho.sqrt()
-    w, frame = np.linalg.eigh(hermitian_part(rs @ np.linalg.inv(sigma.mat) @ rs))
-    # rho and the core share the kernel of rho, so log is taken on the support
-    cut = 1e-14 * max(1.0, float(abs(w[-1])))
-    logw = np.where(w > cut, np.log(np.where(w > cut, w, 1.0)), 0.0)
-    return float(np.trace(rho.mat @ ((frame * logw) @ frame.conj().T)).real)
+    p, q, *_ = _minimal_test(rho, sigma)
+    return _kl(p, q)
 
 
 def trace_distance_classical(p: ProbDist, q: ProbDist) -> float:
@@ -269,11 +269,10 @@ class DeltaMaxBounds:
 def delta_max_bounds(rho: DensityMatrix, sigma: DensityMatrix) -> DeltaMaxBounds:
     """Sandwich 1 - F_min <= Delta_max <= sqrt(1 - F_min^2), plus the
     sharper measurement bound Delta(M(rho), M(T rho T)) in the T eigenbasis."""
-    t, b, *_ = _t_weights(rho, sigma)
-    fmin = float(min(max(t @ b, 0.0), 1.0))
-    via_meas = float(0.5 * np.sum(np.abs(b - t**2 * b)))
+    p, q, *_ = _minimal_test(rho, sigma)
+    fmin = float(min(np.sum(np.sqrt(p * q)), 1.0))
     return DeltaMaxBounds(
         lower=1.0 - fmin,
         upper=math.sqrt(max(1.0 - fmin * fmin, 0.0)),
-        upper_via_measurement=via_meas,
+        upper_via_measurement=float(0.5 * np.sum(np.abs(p - q))),
     )

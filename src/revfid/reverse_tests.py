@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import _t_weights, classical_fidelity, f_min_pure, t_operator, uhlmann_fidelity
+from .divergences import _minimal_test, classical_fidelity, f_min_pure, t_operator, uhlmann_fidelity
 from .errors import DomainError, RevfidError, ValidationError
 from .linalg import HermitianMatrix, hermitian_part, require_finite, support_inverse_power, trace_norm
 from .states import DensityMatrix, ProbDist, PureState, make_density, rng_for
@@ -89,15 +89,14 @@ def verify_reverse_test(
 def minimal_reverse_test(rho: DensityMatrix, sigma: DensityMatrix) -> ReverseTest:
     """Optimal reverse test on an alphabet of size dim.
 
-    Diagonalize T on the base B that f_min takes, give B the weights <e_x|B|e_x>
-    and the other state t_x^2 <e_x|B|e_x>, and prepare with the normalized
-    columns of sqrt(B) V, in ascending sqrt(q/p).  Its classical fidelity is f_min.
+    The (p, q) that f_min reads, prepared with the normalized columns of sqrt(B) V for
+    T's eigenframe V on the base B, in ascending sqrt(q/p).  Its classical fidelity is f_min.
     """
-    t, b, frame, base, swapped = _t_weights(rho, sigma)
+    p, q, frame, base, swapped = _minimal_test(rho, sigma)
     cols = base.sqrt() @ frame
-    prep, p, q = cols / np.linalg.norm(cols, axis=0), b, t**2 * b
+    prep = cols / np.linalg.norm(cols, axis=0)
     if swapped:  # t = sqrt(p/q) ascends on the base sigma
-        prep, p, q = prep[:, ::-1], q[::-1], p[::-1]
+        prep, p, q = prep[:, ::-1], p[::-1], q[::-1]
     return ReverseTest(prep=prep, p=ProbDist(p), q=ProbDist(q))
 
 
@@ -121,7 +120,7 @@ def _contraction_eigh(t: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndar
     """(TA, w, v) for a contraction A with TA = A†T >= 0: one eigh of TA's
     Hermitian part, its eigenvalues w clipped at 0 after the PSD check."""
     scale = max(1.0, np.linalg.norm(t))
-    if np.linalg.norm(a, ord=2) > 1.0 + 1e-10:
+    if np.linalg.svd(a, compute_uv=False)[0] > 1.0 + 1e-10:
         raise ValidationError("A is not a contraction")
     ta = t @ a
     if np.linalg.norm(ta - a.conj().T @ t) > 1e-8 * scale:

@@ -3,8 +3,9 @@
 F_min(rho, sigma) = tr(rho # sigma) = tr(sigma # rho), and the error of a
 base B grows like 1/lambda_min(B).  These tests check f_min, f_f_min,
 delta_max_bounds, minimal_reverse_test and f_min_via_geomean against a
-60-digit mpmath reference on ill-conditioned rho, and check the exact
-symmetry the one base decision gives.
+60-digit mpmath reference on ill-conditioned rho, D^R against one on
+ill-conditioned sigma, and check the exact symmetry the one base decision
+gives.
 """
 
 import mpmath
@@ -19,6 +20,8 @@ from revfid.divergences import (
     f_min_pure,
     f_min_via_geomean,
     generalized_fidelity_classical,
+    kl_divergence,
+    reverse_relative_entropy,
 )
 from revfid.errors import DomainError
 from revfid.reverse_tests import minimal_reverse_test, verify_reverse_test
@@ -65,10 +68,8 @@ def test_ill_conditioned_rho_matches_mpmath(eps):
         assert abs(minimal_reverse_test(rho, sigma).fidelity() - r50) <= 1e-9
         assert abs(f_f_min(rho, sigma, QUARTER) - r25) <= 1e-9
         assert abs(f_f_min(rho, sigma, HALF) - r50) <= 1e-9
-        if eps == 1e-6:
-            # on the base sigma alpha = 3/4 is x^(1/4), which amplifies the error
-            # of T's tiny eigenvalues: 3.9e-8 at eps = 1e-9 (ROADMAP D)
-            assert abs(f_f_min(rho, sigma, THREE_QUARTERS) - r75) <= 1e-9
+        # on the base sigma alpha = 3/4 is x^(1/4), the most sensitive to T's tiny eigenvalues
+        assert abs(f_f_min(rho, sigma, THREE_QUARTERS) - r75) <= 1e-9
         assert f_min(rho, sigma) == f_min(sigma, rho)
         assert delta_max_bounds(rho, sigma) == delta_max_bounds(sigma, rho)
 
@@ -102,14 +103,39 @@ def test_pure_rho_against_a_full_rank_sigma():
     sigma = random_density(3, 3, 21)
     closed = f_min_pure(sigma, psi)
     rho = psi.projector()
-    # the square root at T's two zero eigenvalues turns round-off into ~1e-8
-    # (restricting to the support is still open, ROADMAP D)
-    assert abs(f_min(rho, sigma) - closed) <= 1e-7
-    assert abs(f_min_via_geomean(rho, sigma) - closed) <= 1e-7
+    # rho's support cut makes T's two zero eigenvalues exact zeros
+    assert abs(f_min(rho, sigma) - closed) <= 1e-12
     rt = minimal_reverse_test(rho, sigma)
     assert verify_reverse_test(rt, rho, sigma).passes
-    assert abs(rt.fidelity() - closed) <= 1e-7
-    assert abs(f_f_min(rho, sigma, HALF) - closed) <= 1e-7
+    assert abs(rt.fidelity() - closed) <= 1e-12
+    assert abs(f_f_min(rho, sigma, HALF) - closed) <= 1e-12
+    # the independent route takes the square root of the inner operator, which
+    # turns round-off at its zero eigenvalues into ~1e-8
+    assert abs(f_min_via_geomean(rho, sigma) - closed) <= 1e-7
+
+
+def test_rank_two_rho_at_d_4_has_exact_zero_mass_points():
+    # rho = V diag(.7, .3, 0, 0) V† against a sigma it does not commute with: T has a
+    # two-dimensional kernel, whose singular values must read 0, or each adds
+    # p^(1/4) q^(3/4) ~ 1e-8 at alpha = 3/4 for p ~ 1e-32
+    for s in range(20):
+        g = np.random.default_rng(s).standard_normal((4, 4, 2)) @ [1.0, 1j]
+        frame = np.linalg.qr(g)[0]
+        rho = make_density((frame[:, :2] * [0.7, 0.3]) @ frame[:, :2].conj().T)
+        sigma = random_density(4, 4, s + 50)
+        with mpmath.workdps(60):
+            v, sm = mpmath.matrix(frame[:, :2].tolist()), mpmath.matrix(sigma.mat.tolist())
+            r = v * mpmath.diag([mpmath.mpf(0.7), mpmath.mpf(0.3)]) * v.H
+            w, u = mpmath.eigh(sm)
+            inner = u * mpmath.diag([1 / mpmath.sqrt(x) for x in w]) * u.H
+            inner = inner * r * inner
+            wi, vi = mpmath.eigh((inner + inner.H) / 2)
+            # on the base sigma, F_f at alpha = 3/4 is sum_x <e_x|sigma|e_x> t_x^(1/2)
+            b = [mpmath.re((vi[:, k].H * sm * vi[:, k])[0]) for k in range(4)]
+            ref = float(sum(bk * max(x, 0) ** 0.25 for x, bk in zip(wi, b)))
+        rt = minimal_reverse_test(rho, sigma)
+        assert np.count_nonzero(rt.p.weights == 0.0) == 2
+        assert abs(f_f_min(rho, sigma, THREE_QUARTERS) - ref) <= 1e-12
 
 
 def test_zero_mass_points_of_rho_follow_the_classical_convention():
@@ -154,3 +180,32 @@ def test_f_f_min_is_the_classical_value_of_the_minimal_test_on_either_base():
             rt = minimal_reverse_test(a, b)
             for f in (QUARTER, THREE_QUARTERS, OperatorMonotoneSpec.custom(lambda x: x / (1.0 + x))):
                 assert abs(f_f_min(a, b, f) - generalized_fidelity_classical(rt.p, rt.q, f)) <= 1e-12
+
+
+def reverse_entropy_reference(rho, sigma):
+    """tr rho ln(rho^1/2 sigma^-1 rho^1/2) in 60 digits."""
+    with mpmath.workdps(60):
+        r, s = mpmath.matrix(rho.mat.tolist()), mpmath.matrix(sigma.mat.tolist())
+        w, v = mpmath.eigh(r)
+        root = v * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in w]) * v.H
+        core = root * mpmath.inverse(s) * root
+        wc, vc = mpmath.eigh((core + core.H) / 2)
+        terms = [mpmath.re((vc[:, k].H * r * vc[:, k])[0]) * mpmath.log(x) for k, x in enumerate(wc) if x > 0]
+        return float(sum(terms))
+
+
+# each bound is one a route through an LU inverse of sigma misses: it errs by
+# 2.7e-10, 3.3e-8 and 2.5e-7 on these pairs
+@pytest.mark.parametrize("eps, tol", [(1e-6, 1.5e-10), (1e-8, 1.5e-8), (1e-9, 1.2e-7)])
+def test_reverse_relative_entropy_on_ill_conditioned_sigma_matches_mpmath(eps, tol):
+    for s in range(10):
+        sigma, rho = ill_conditioned(eps, s)
+        assert abs(reverse_relative_entropy(rho, sigma) - reverse_entropy_reference(rho, sigma)) <= tol
+
+
+def test_reverse_relative_entropy_is_the_kl_divergence_of_the_minimal_test():
+    for s in range(6):
+        rho, sigma = ill_conditioned(1e-4, s)
+        for a, b in ((rho, sigma), (sigma, rho)):  # the base sigma, then the base rho
+            rt = minimal_reverse_test(a, b)
+            assert abs(reverse_relative_entropy(a, b) - kl_divergence(rt.p, rt.q)) <= 1e-12

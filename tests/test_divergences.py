@@ -201,6 +201,28 @@ def test_kl_support_violation_is_inf():
     assert kl_divergence(p, q) == math.inf
 
 
+def test_classical_kernels_match_the_loop_form():
+    # the per-letter loops the array kernels replaced; only the summation order differs
+    def loop_ff(p, q, alpha):
+        total = 0.0
+        for pw, qw in zip(p, q):
+            total += qw * (alpha == 1.0) if pw <= 0.0 else pw * (qw / pw) ** alpha
+        return total
+
+    def loop_kl(p, q):
+        return sum(pw * math.log(pw / qw) for pw, qw in zip(p, q) if pw > 0.0)
+
+    rng = np.random.default_rng(3)
+    for k in range(50):
+        w, v = rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(5))
+        w[k % 5] = 0.0  # a zero-mass point of p
+        p, q = ProbDist(w / w.sum()), ProbDist(v)
+        for alpha in (0.25, 0.75, 1.0):
+            got = generalized_fidelity_classical(p, q, OperatorMonotoneSpec.power(alpha))
+            assert abs(got - loop_ff(p.weights, q.weights, alpha)) <= 1e-15
+        assert abs(kl_divergence(p, q) - loop_kl(p.weights, q.weights)) <= 1e-14
+
+
 def test_reverse_relative_entropy_commuting_is_kl(commuting_pair):
     rho, sigma = commuting_pair
     p = ProbDist(np.diag(rho.mat).real)

@@ -1,5 +1,5 @@
-"""The T-based quantities read each state's stored spectrum and decompose
-only the inner operator rho^-1/2 sigma rho^-1/2.
+"""The T-based quantities read each state's stored spectrum and make one SVD,
+of rho^-1/2 sigma^1/2 built from those spectra.
 
 They are checked against the route they replaced, which decomposes every
 state and intermediate again through the HermitianMatrix wrappers; against
@@ -19,13 +19,14 @@ from revfid.divergences import (
     delta_max_bounds,
     f_f_min,
     f_min,
+    f_min_pure,
     f_min_via_geomean,
     quasi_entropy_comparison,
     reverse_relative_entropy,
     t_operator,
     uhlmann_fidelity,
 )
-from revfid.errors import NotPsdError, SingularStateError, ValidationError
+from revfid.errors import SingularStateError, ValidationError
 from revfid.geometry import (
     TangentPoint,
     fisher_both,
@@ -36,9 +37,16 @@ from revfid.geometry import (
     tangent_reverse_estimation,
 )
 from revfid.linalg import HermitianMatrix, eig_hermitian, matrix_sqrt
-from revfid.reverse_tests import general_reverse_test, hidden_pair, minimal_reverse_test, sample_contraction
+from revfid.reverse_tests import (
+    general_reverse_test,
+    hidden_pair,
+    minimal_reverse_test,
+    sample_contraction,
+    verify_reverse_test,
+)
 from revfid.states import (
     DensityMatrix,
+    PureState,
     apply_channel,
     make_density,
     make_density_stack,
@@ -219,14 +227,14 @@ def test_singular_state_in_geometry_raises_as_before():
 def test_non_psd_inputs_raise_as_before():
     with pytest.raises(ValidationError, match="not PSD within tolerance"):
         DensityMatrix(HermitianMatrix(np.diag([1.0 + 2e-10, -2e-10])))
-    # sigma passes validation at -5e-11, and rho^-1/2 magnifies that to -5e-7
+    # sigma passes validation at -5e-11; its support cut reads that eigenvalue
+    # as 0, so the pair is rho against the pure |1>, not a PSD violation
     rho = make_density(np.diag([1e-4, 1.0 - 1e-4]))
     sigma = DensityMatrix(HermitianMatrix(np.diag([-5e-11, 1.0 + 5e-11])))
-    expected = _outcome(oracle_t_operator, rho, sigma)
-    assert expected[0] is NotPsdError
-    for fn in (t_operator, f_min, delta_max_bounds, minimal_reverse_test):
-        assert _outcome(fn, rho, sigma) == expected
-    assert _outcome(f_f_min, rho, sigma, OperatorMonotoneSpec.sqrt()) == expected
+    closed = f_min_pure(rho, PureState(np.array([0.0, 1.0])))
+    assert abs(f_min(rho, sigma) - closed) <= 1e-10
+    assert abs(f_f_min(rho, sigma, OperatorMonotoneSpec.sqrt()) - closed) <= 1e-10
+    assert verify_reverse_test(minimal_reverse_test(rho, sigma), rho, sigma).passes
 
 
 # --------------------------------------------------- decompositions per call
@@ -234,7 +242,7 @@ def test_non_psd_inputs_raise_as_before():
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    counts = {"eigh": 0, "eigvalsh": 0, "inv": 0, "solve": 0}
+    counts = {"eigh": 0, "eigvalsh": 0, "svd": 0, "inv": 0, "solve": 0}
     for name in counts:
         original = getattr(np.linalg, name)
 
@@ -244,6 +252,10 @@ def decompositions(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return counts
+
+
+def _decompositions(counts):
+    return counts["eigh"] + counts["eigvalsh"] + counts["svd"]
 
 
 def _trajectory(rho, sigma, n):
@@ -288,7 +300,16 @@ def test_one_decomposition_per_call_on_validated_pair(call, decompositions):
     sigma = random_density(3, 3, 2)
     decompositions.update(eigh=0, eigvalsh=0)  # the states' own validation is done
     call(rho, sigma)
-    assert decompositions["eigh"] + decompositions["eigvalsh"] == 1
+    assert _decompositions(decompositions) == 1
+
+
+def test_reverse_relative_entropy_inverts_nothing(decompositions):
+    # D^R is the KL divergence of the minimal test: T's one SVD, no inverse of sigma
+    rho = random_density(3, 3, 1)
+    sigma = random_density(3, 3, 2)
+    decompositions.update(eigh=0, eigvalsh=0)
+    reverse_relative_entropy(rho, sigma)
+    assert decompositions == {"eigh": 0, "eigvalsh": 0, "svd": 1, "inv": 0, "solve": 0}
 
 
 @pytest.mark.parametrize(
@@ -304,30 +325,31 @@ def test_tangent_layer_reads_the_stored_spectrum(fn, eighs, decompositions):
     tp = TangentPoint(rho, vel)
     decompositions.update(eigh=0, eigvalsh=0)
     fn(tp)
-    assert decompositions == {"eigh": eighs, "eigvalsh": 0, "inv": 0, "solve": 0}
+    assert decompositions == {"eigh": eighs, "eigvalsh": 0, "svd": 0, "inv": 0, "solve": 0}
 
 
 def test_general_reverse_test_decomposes_ta_once(decompositions):
-    # T, TA (checked and inverted from one eigh), the isometry completion
-    # I - AA†, and the assembled block matrix
+    # T, the contraction check ||A||_2 <= 1 (its singular values), TA
+    # (checked and inverted from one eigh), the isometry completion I - AA†,
+    # and the assembled block matrix
     rho = random_density(3, 3, 1)
     sigma = random_density(3, 3, 2)
     a = sample_contraction(t_operator(rho, sigma), 5)
-    decompositions.update(eigh=0, eigvalsh=0)
+    decompositions.update(eigh=0, eigvalsh=0, svd=0)
     general_reverse_test(rho, sigma, a)
-    assert decompositions["eigh"] + decompositions["eigvalsh"] == 4
+    assert _decompositions(decompositions) == 5
 
 
 def test_fr_estimate_takes_f_min_from_its_geodesic(decompositions):
     # F_min is the fidelity of the reverse test the start path is built from, so
-    # fr_estimate makes the geodesic's eigh calls and no decomposition of
-    # rho^-1/2 sigma rho^-1/2 of its own (the search's eigvalsh calls check segments)
+    # fr_estimate makes the geodesic's eigh and svd calls and no SVD of
+    # rho^-1/2 sigma^1/2 of its own (the search's eigvalsh calls check segments)
     rho = random_density(3, 3, 1)
     sigma = random_density(3, 3, 2)
     decompositions.update(eigh=0, eigvalsh=0)
     fmin_geodesic(rho, sigma, n_samples=5)
-    geodesic = decompositions["eigh"]
-    decompositions.update(eigh=0, eigvalsh=0)
+    geodesic = decompositions["eigh"] + decompositions["svd"]
+    decompositions.update(eigh=0, eigvalsh=0, svd=0)
     fr = fr_estimate(rho, sigma, control_points=3, iterations=2)
-    assert decompositions["eigh"] == geodesic == 2
+    assert decompositions["eigh"] + decompositions["svd"] == geodesic == 2
     assert f_min(rho, sigma) - 1e-9 <= fr <= uhlmann_fidelity(rho, sigma) + 1e-9
