@@ -78,6 +78,7 @@ DEFAULT_TOLERANCES = {
     "distance_bounds": 1e-9,
     "reverse_test_residual": 1e-7,
     "reverse_test_optimality": 1e-8,
+    "reverse_test_fidelity": 1e-9,
     "geodesic_length": 1e-6,
     "fisher_order": 1e-9,
     "tangent_fisher": 1e-8,
@@ -336,7 +337,7 @@ def _suite_reverse_tests(dim: int, seed: int, tols: dict):
     rt = minimal_reverse_test(rho, sigma)
     rep = verify_reverse_test(rt, rho, sigma, tol=rtol)
     yield "minimal_rt_prepares_pair", max(rep.rho_residual, rep.sigma_residual), rtol, False
-    yield "minimal_rt_achieves_fmin", abs(rt.fidelity() - fmin), 1e-9, False
+    yield "minimal_rt_achieves_fmin", abs(rt.fidelity() - fmin), tols["reverse_test_fidelity"], False
     a = sample_contraction(t_operator(rho, sigma), seed + 2)
     grt = general_reverse_test(rho, sigma, a)
     grep = verify_reverse_test(grt, rho, sigma, tol=rtol)

@@ -49,18 +49,19 @@ def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(min(np.sum(np.sqrt(np.clip(w, 0.0, None))), 1.0))
 
 
-def t_spectrum(rho: DensityMatrix, sigma: DensityMatrix) -> SpectralDecomposition:
-    """Eigensystem of T = sqrt(rho^-1/2 sigma rho^-1/2), ascending: for the stored spectra rho = V diag(w) V†,
-    sigma = U diag(s) U†, the singular values t of diag(w^-1/2) V†U diag(s^1/2) and V times its left factor;
-    s <= 1e-14 max(s) (sigma's kernel) and t <= d eps max(t) (LAPACK's error bound) read as 0."""
+def t_spectrum(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[SpectralDecomposition, np.ndarray, np.ndarray]:
+    """Eigensystem of T = sqrt(rho^-1/2 sigma rho^-1/2), ascending, with R† and s: for the stored spectra
+    rho = V diag(w) V†, sigma = U diag(s) U†, the SVD diag(w^-1/2) V†U diag(s^1/2) = L diag(t) R† gives t and
+    the frame V L, and sqrt(rho) T = U diag(s^1/2) R L† V†; s <= 1e-14 max(s) (sigma's kernel) and
+    t <= d eps max(t) (LAPACK's error bound) read as 0."""
     _check_dims(rho, sigma)
     rho.require_full_rank(_SINGULAR.format("rho"))
     w, v = rho.spectrum.eigenvalues, rho.spectrum.frame
     s, u = sigma.spectrum.eigenvalues, sigma.spectrum.frame
-    root_s = np.sqrt(np.where(s > 1e-14 * s[-1], s, 0.0))
-    left, t, _ = np.linalg.svd((v.conj().T @ u) * root_s / np.sqrt(w)[:, None])
+    s = np.where(s > 1e-14 * s[-1], s, 0.0)
+    left, t, right = np.linalg.svd((v.conj().T @ u) * np.sqrt(s) / np.sqrt(w)[:, None])
     t = np.where(t > len(t) * np.finfo(float).eps * t[0], t, 0.0)
-    return SpectralDecomposition(eigenvalues=t[::-1], frame=(v @ left)[:, ::-1])
+    return SpectralDecomposition(eigenvalues=t[::-1], frame=(v @ left)[:, ::-1]), right[::-1], s
 
 
 def _t_base(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix, bool]:
@@ -77,7 +78,7 @@ def _minimal_test(rho: DensityMatrix, sigma: DensityMatrix):
     """(p, q, frame, B, B is sigma): the minimal reverse test's weights p for rho, q for sigma on the
     eigenframe e_x of T = sqrt(B^-1/2 other B^-1/2), t_x ascending: B's b_x = <e_x|B|e_x>, the other's t_x^2 b_x."""
     base, other, swapped = _t_base(rho, sigma)
-    spec = t_spectrum(base, other)
+    spec, *_ = t_spectrum(base, other)
     b = np.sum(spec.frame.conj() * (base.mat @ spec.frame), axis=0).real
     p, q = (spec.eigenvalues**2 * b, b) if swapped else (b, spec.eigenvalues**2 * b)
     return p, q, spec.frame, base, swapped
@@ -85,7 +86,7 @@ def _minimal_test(rho: DensityMatrix, sigma: DensityMatrix):
 
 def t_operator(rho: DensityMatrix, sigma: DensityMatrix) -> HermitianMatrix:
     """T = sqrt(rho^-1/2 sigma rho^-1/2); (sqrt(rho) T)(sqrt(rho) T)† = sigma."""
-    spec = t_spectrum(rho, sigma)
+    spec, *_ = t_spectrum(rho, sigma)
     return HermitianMatrix(spec.function(spec.eigenvalues))
 
 

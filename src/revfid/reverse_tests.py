@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import _minimal_test, classical_fidelity, f_min_pure, t_operator, uhlmann_fidelity
-from .errors import DomainError, RevfidError, ValidationError
+from .divergences import _minimal_test, classical_fidelity, f_min_pure, t_spectrum, uhlmann_fidelity
+from .errors import DomainError, ValidationError
 from .linalg import HermitianMatrix, hermitian_part, require_finite, support_inverse_power, trace_norm
 from .states import DensityMatrix, ProbDist, PureState, make_density, rng_for
 
@@ -102,25 +102,27 @@ def minimal_reverse_test(rho: DensityMatrix, sigma: DensityMatrix) -> ReverseTes
 
 def sample_contraction(t: HermitianMatrix, seed: int) -> np.ndarray:
     """Random contraction A with TA = A†T >= 0 and ||A||_op <= 1."""
-    w = np.linalg.eigvalsh(t.entries)
+    w, v = np.linalg.eigh(t.entries)
     if w[0] <= 1e-12 * max(1.0, float(abs(w[-1]))):
         raise DomainError("sample_contraction requires strictly positive T")
     d = t.dim
     rng = rng_for(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = g @ g.conj().T
-    a = np.linalg.inv(t.entries) @ h
+    a = (v / w) @ (v.conj().T @ h)
     opnorm = np.linalg.norm(a, ord=2)
     if opnorm > 1.0:
         a = a / (opnorm * (1.0 + 1e-12))
     return a
 
 
-def _contraction_eigh(t: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(TA, w, v) for a contraction A with TA = A†T >= 0: one eigh of TA's
-    Hermitian part, its eigenvalues w clipped at 0 after the PSD check."""
+def _contraction_eigh(t: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(TA, w, v, A') for a contraction A with TA = A†T >= 0.  A's one SVD A = P diag(a) Q† checks
+    ||A|| <= 1 and completes the isometry row, A' = P diag(sqrt(1 - a^2)) with A A† + A' A'† = I, its
+    nonzero columns first; one eigh of TA's Hermitian part gives w, clipped at 0 after the PSD check."""
     scale = max(1.0, np.linalg.norm(t))
-    if np.linalg.svd(a, compute_uv=False)[0] > 1.0 + 1e-10:
+    p, sv, _ = np.linalg.svd(a)
+    if sv[0] > 1.0 + 1e-10:
         raise ValidationError("A is not a contraction")
     ta = t @ a
     if np.linalg.norm(ta - a.conj().T @ t) > 1e-8 * scale:
@@ -129,19 +131,9 @@ def _contraction_eigh(t: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndar
     w, v = np.linalg.eigh(ta)
     if w[0] < -1e-8 * scale:
         raise ValidationError("TA is not PSD")
-    return ta, np.clip(w, 0.0, None), v
-
-
-def _complete_isometry_row(a: np.ndarray) -> np.ndarray:
-    """A' (d x d) with A A† + A' A'† = I, its nonzero columns first."""
-    d = a.shape[0]
-    m = np.eye(d) - a @ a.conj().T
-    w, e = np.linalg.eigh(0.5 * (m + m.conj().T))
-    w = np.clip(w, 0.0, None)
-    nonzero = np.where(w > 1e-12)[0]
-    a_prime = np.zeros((d, d), dtype=complex)
-    a_prime[:, : len(nonzero)] = e[:, nonzero] * np.sqrt(w[nonzero])
-    return a_prime
+    gap = ((1.0 - sv) * (1.0 + sv))[::-1]
+    a_prime = p[:, ::-1] * np.sqrt(np.where(gap > 1e-12, gap, 0.0))
+    return ta, np.clip(w, 0.0, None), v, a_prime
 
 
 def general_reverse_test(rho: DensityMatrix, sigma: DensityMatrix, a: np.ndarray) -> ReverseTest:
@@ -152,14 +144,14 @@ def general_reverse_test(rho: DensityMatrix, sigma: DensityMatrix, a: np.ndarray
     classical fidelity.
     """
     d = rho.dim
-    t = t_operator(rho, sigma).entries
+    spec, *_ = t_spectrum(rho, sigma)
+    t = spec.function(spec.eigenvalues)
     a = np.asarray(a, dtype=complex)
     if a.shape != (d, d):
         raise ValidationError(f"contraction must be {d}x{d}, got {a.shape}")
     require_finite(a, "contraction A")
-    ta, w_ta, v_ta = _contraction_eigh(t, a)
+    ta, w_ta, v_ta, a_prime = _contraction_eigh(t, a)
 
-    a_prime = _complete_isometry_row(a)
     tap = t @ a_prime
     # Schur complement of this C against the TA block is eps * I, so the
     # assembled block matrix stays PSD without any search.
@@ -235,25 +227,14 @@ def mixture_reverse_test(
 def hidden_pair(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix]:
     """States (rho, T rho T) whose Uhlmann fidelity equals F_min(rho, sigma).
 
-    Asserts the W-factor contract W_rho = sqrt(rho), W_sigma = sqrt(rho) T:
-    W_rho W_rho† = rho, W_sigma W_sigma† = sigma, and
-    W_rho W_sigma† = W_sigma W_rho† >= 0.
+    T's SVD diag(w^-1/2) V†U diag(s^1/2) = L diag(t) R† gives sqrt(rho) T = U diag(s^1/2) R L† V†,
+    so T rho T = F diag(s) F† with the unitary F = V L R†: sigma's eigenvalues on a new frame,
+    with no product of dense T's.  W_rho = sqrt(rho) and W_sigma = sqrt(rho) T are the paper's
+    W-factors: W_rho W_rho† = rho, W_sigma W_sigma† = sigma, W_rho W_sigma† = W_sigma W_rho† >= 0.
     """
-    t = t_operator(rho, sigma).entries
-    w_rho = rho.sqrt()
-    w_sigma = w_rho @ t
-    cross = w_rho @ w_sigma.conj().T
-    checks = (
-        trace_norm(w_rho @ w_rho.conj().T - rho.mat),
-        trace_norm(w_sigma @ w_sigma.conj().T - sigma.mat),
-        trace_norm(cross - cross.conj().T),
-    )
-    if max(checks) > 1e-9 * max(1.0, trace_norm(rho.mat)):
-        raise RevfidError(f"W-factor contract violated, residuals {checks}")
-    if np.linalg.eigvalsh(0.5 * (cross + cross.conj().T))[0] < -1e-9:
-        raise RevfidError("W-factor cross term is not PSD")
-    sigma_prime = make_density(t @ rho.mat @ t)
-    return rho, sigma_prime
+    spec, right, s = t_spectrum(rho, sigma)
+    f = spec.frame @ right
+    return rho, make_density((f * s) @ f.conj().T)
 
 
 def hidden_pair_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

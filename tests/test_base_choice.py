@@ -209,3 +209,27 @@ def test_reverse_relative_entropy_is_the_kl_divergence_of_the_minimal_test():
         for a, b in ((rho, sigma), (sigma, rho)):  # the base sigma, then the base rho
             rt = minimal_reverse_test(a, b)
             assert abs(reverse_relative_entropy(a, b) - kl_divergence(rt.p, rt.q)) <= 1e-12
+
+
+MAXIMAL_F = {
+    "(x-1)^2": lambda x: (x - 1.0) ** 2,
+    "x ln x": lambda x: x * np.log(x),
+    "-ln x": lambda x: -np.log(x),
+    "x^2": lambda x: x**2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAXIMAL_F))
+def test_maximal_f_divergence_is_the_classical_value_of_the_minimal_test(name):
+    # for operator convex f, tr sigma f(sigma^-1/2 rho sigma^-1/2) is the maximal
+    # f-divergence, and the minimal reverse test attains it: sum_x q f(p/q)
+    f = MAXIMAL_F[name]
+    for dim in range(2, 6):
+        for s in range(100):
+            rho, sigma = random_density(dim, dim, 1000 * dim + s), random_density(dim, dim, 1000 * dim + s + 500)
+            w, u = sigma.spectrum.eigenvalues, sigma.spectrum.frame
+            x = np.linalg.eigh((u.conj().T @ rho.mat @ u) / np.sqrt(np.outer(w, w)))
+            quantum = float(np.sum(np.abs(x.eigenvectors) ** 2 * w[:, None] * f(x.eigenvalues)))
+            rt = minimal_reverse_test(rho, sigma)
+            p, q = rt.p.weights, rt.q.weights
+            assert abs(quantum - float(q @ f(p / q))) <= 1e-10 * abs(quantum)

@@ -285,6 +285,14 @@ def test_every_tolerance_is_read_by_a_check(name):
     assert run_suite("all", cfg).failures
 
 
+def test_every_invariant_fails_at_minus_infinity():
+    # no check keeps a literal tolerance of its own: with every key at -inf,
+    # every invariant the suites report fails
+    cfg = RunConfig(seed=3, trials=1, dims=(2,), tolerances=dict.fromkeys(DEFAULT_TOLERANCES, -math.inf))
+    report = run_suite("all", cfg)
+    assert {f["invariant"] for f in report.failures} == set(report.max_residual)
+
+
 def test_run_config_validation():
     with pytest.raises(ValidationError):
         RunConfig(trials=0)

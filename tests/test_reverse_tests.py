@@ -198,6 +198,38 @@ def test_uhlmann_dominates_fmin_via_hidden_pair():
     assert hidden_pair_fidelity(rho, sigma) <= uhlmann_fidelity(rho, sigma) + 1e-9
 
 
+def test_hidden_pair_w_factor_contract():
+    # W_rho = sqrt(rho), W_sigma = sqrt(rho) T: W_rho W_rho† = rho,
+    # W_sigma W_sigma† = sigma, W_rho W_sigma† is Hermitian and PSD, and the
+    # hidden pair's T rho T is W_sigma† W_sigma
+    for dim in range(2, 6):
+        for s in range(25):
+            rho, sigma = random_density(dim, dim, 300 + s), random_density(dim, dim, 400 + s)
+            w_rho = rho.sqrt()
+            w_sigma = w_rho @ t_operator(rho, sigma).entries
+            cross = w_rho @ w_sigma.conj().T
+            assert np.abs(w_rho @ w_rho.conj().T - rho.mat).max() <= 1e-12
+            assert np.abs(w_sigma @ w_sigma.conj().T - sigma.mat).max() <= 1e-12
+            assert np.abs(cross - cross.conj().T).max() <= 1e-12
+            assert np.linalg.eigvalsh(cross)[0] >= -1e-12
+            assert np.abs(hidden_pair(rho, sigma)[1].mat - w_sigma.conj().T @ w_sigma).max() <= 1e-12
+
+
+def test_hidden_pair_on_ill_conditioned_rho():
+    # lambda_min(rho) from 1e-9 / d to 0.1: T rho T densely lost its unit trace
+    # (14 of these 600 pairs raised) and missed F_min by up to 2.9e-9
+    for dim in (2, 3, 4):
+        for s in range(200):
+            eps = 10.0 ** (-9 + 9 * (s % 50) / 50)
+            rank = math.ceil(dim / 2)
+            rho = make_density((1 - eps) * random_density(dim, rank, s).mat + eps * np.eye(dim) / dim)
+            sigma = random_density(dim, dim, s + 7)
+            _, sigma_prime = hidden_pair(rho, sigma)
+            gap = np.abs(sigma_prime.spectrum.eigenvalues - sigma.spectrum.eigenvalues).max()
+            assert gap <= 1e-12
+            assert abs(hidden_pair_fidelity(rho, sigma) - f_min(rho, sigma)) <= 1e-10
+
+
 def test_prepared_pair_matches_classical_embedding():
     rho, sigma = qubit_pair(4)
     rt = minimal_reverse_test(rho, sigma)

@@ -329,15 +329,33 @@ def test_tangent_layer_reads_the_stored_spectrum(fn, eighs, decompositions):
 
 
 def test_general_reverse_test_decomposes_ta_once(decompositions):
-    # T, the contraction check ||A||_2 <= 1 (its singular values), TA
-    # (checked and inverted from one eigh), the isometry completion I - AA†,
-    # and the assembled block matrix
+    # T's SVD, A's SVD (the contraction check ||A||_2 <= 1 and the isometry
+    # completion A'), TA (checked and inverted from one eigh), and the
+    # assembled block matrix
     rho = random_density(3, 3, 1)
     sigma = random_density(3, 3, 2)
     a = sample_contraction(t_operator(rho, sigma), 5)
     decompositions.update(eigh=0, eigvalsh=0, svd=0)
     general_reverse_test(rho, sigma, a)
-    assert _decompositions(decompositions) == 5
+    assert decompositions == {"eigh": 2, "eigvalsh": 0, "svd": 2, "inv": 0, "solve": 0}
+
+
+def test_hidden_pair_reads_t_from_one_svd(decompositions):
+    # T rho T is sigma's spectrum on the frame V L R† of T's SVD; only the
+    # returned state's validation decomposes it again
+    rho = random_density(3, 3, 1)
+    sigma = random_density(3, 3, 2)
+    decompositions.update(eigh=0, eigvalsh=0)
+    hidden_pair(rho, sigma)
+    assert decompositions == {"eigh": 1, "eigvalsh": 0, "svd": 1, "inv": 0, "solve": 0}
+
+
+def test_sample_contraction_inverts_t_from_its_eigh(decompositions):
+    # one eigh of T checks T > 0 and gives T^-1
+    t = t_operator(random_density(3, 3, 1), random_density(3, 3, 2))
+    decompositions.update(eigh=0, eigvalsh=0, svd=0)
+    sample_contraction(t, 5)
+    assert (decompositions["eigh"], decompositions["eigvalsh"], decompositions["inv"]) == (1, 0, 0)
 
 
 def test_fr_estimate_takes_f_min_from_its_geodesic(decompositions):
