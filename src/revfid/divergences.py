@@ -17,10 +17,9 @@ from .linalg import (
     SpectralDecomposition,
     geometric_mean_from_sqrt,
     map_spectrum,
-    support_inverse_power,
     trace_norm,
 )
-from .states import DensityMatrix, ProbDist, PureState
+from .states import FULL_RANK_MIN_EIG, DensityMatrix, ProbDist, PureState
 
 _SINGULAR = "{} is singular (min eigenvalue {{lam:.3e}}); use the pure-target closed form or regularize explicitly"
 
@@ -105,15 +104,16 @@ def f_min_via_geomean(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def f_min_pure(rho: DensityMatrix, phi: PureState) -> float:
-    """F_min against a pure target; 0 when phi leaves the support of rho."""
+    """F_min against a pure target, from the overlaps c = V† phi with rho = V diag(w) V†: 0 when
+    ||c|| on the kernel (w <= FULL_RANK_MIN_EIG) exceeds 1e-8, else 1 / ||c_i / sqrt(w_i)|| on the support."""
     if rho.dim != phi.dim:
         raise DimensionMismatchError(f"state dims differ: {rho.dim} vs {phi.dim}")
-    w = np.clip(rho.spectrum.eigenvalues, 0.0, None)
-    proj = rho.spectrum.function(support_inverse_power(w, 0.0))
-    if np.linalg.norm(phi.amplitudes - proj @ phi.amplitudes) > 1e-8:
+    w = rho.spectrum.eigenvalues
+    c = rho.spectrum.frame.conj().T @ phi.amplitudes
+    on = w > FULL_RANK_MIN_EIG
+    if np.linalg.norm(c[~on]) > 1e-8:
         return 0.0
-    v = rho.spectrum.function(support_inverse_power(w, 0.5)) @ phi.amplitudes
-    return float(min(1.0 / np.linalg.norm(v), 1.0))
+    return float(min(1.0 / np.linalg.norm(c[on] / np.sqrt(w[on])), 1.0))
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,8 @@ def quasi_entropy_comparison(
     """Compare the alpha quasi-entropy with the reverse-test minimal fidelity.
 
     Returns (s_alpha, one_minus_f_alpha_min) with
-    s_alpha = 1 - tr rho^(1-alpha) sigma^alpha and
+    s_alpha = 1 - tr rho^(1-alpha) sigma^alpha, read off the stored spectra
+    rho = V diag(w) V†, sigma = U diag(s) U† as 1 - sum_ij w_i^(1-alpha) |<v_i|u_j>|^2 s_j^alpha, and
     F_alpha_min = tr sqrt(rho) (rho^-1/2 sigma rho^-1/2)^alpha sqrt(rho),
     the exponent pairing under which both reduce to
     1 - sum p^(1-alpha) q^alpha on commuting pairs.  The minimality of
@@ -209,9 +210,9 @@ def quasi_entropy_comparison(
     _check_dims(rho, sigma)
     rho.require_full_rank(_SINGULAR.format("rho"))
     sigma.require_full_rank(_SINGULAR.format("sigma"))
-    rho_pow = rho.spectrum.function(np.clip(rho.spectrum.eigenvalues, 0.0, None) ** (1.0 - alpha))
-    sig_pow = sigma.spectrum.function(np.clip(sigma.spectrum.eigenvalues, 0.0, None) ** alpha)
-    s_alpha = 1.0 - float(np.trace(rho_pow @ sig_pow).real)
+    w, s = rho.spectrum.eigenvalues, sigma.spectrum.eigenvalues
+    overlap = np.abs(rho.spectrum.frame.conj().T @ sigma.spectrum.frame) ** 2
+    s_alpha = 1.0 - float(w ** (1.0 - alpha) @ overlap @ s**alpha)
     f_alpha_min = f_f_min(rho, sigma, OperatorMonotoneSpec.power(alpha))
     return s_alpha, 1.0 - f_alpha_min
 

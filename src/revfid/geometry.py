@@ -8,7 +8,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ from .states import (
     SignedVector,
     make_density,
     make_density_stack,
+    require_integer,
     rng_for,
 )
 
@@ -170,13 +171,12 @@ def classical_fisher(p: ProbDist, dp: SignedVector) -> float:
 def fmin_geodesic(rho: DensityMatrix, sigma: DensityMatrix, n_samples: int = 33) -> Curve:
     """Commutative-RLD geodesic realizing F_min: the classical great circle
     of the minimal reverse test pushed through its preparation map."""
+    require_integer("n_samples", n_samples, 2)
     return _great_circle(rho, minimal_reverse_test(rho, sigma), n_samples)
 
 
 def _great_circle(rho: DensityMatrix, rt: ReverseTest, n_samples: int) -> Curve:
     """The geodesic of :func:`fmin_geodesic` from its minimal reverse test rt."""
-    if n_samples < 2:
-        raise ValidationError("need at least 2 samples")
     fid = rt.fidelity()
     times = np.linspace(0.0, 1.0, n_samples)
     if fid >= 1.0 - 1e-12:
@@ -253,8 +253,7 @@ def curve_length(curve: Curve, metric: str = "rld", panels: int | None = None) -
     """Integral of sqrt(J_t) along the curve by composite Simpson quadrature; panels
     (None, or an integer >= 2) first resamples the states onto a uniform grid."""
     if panels is not None:
-        if isinstance(panels, bool) or not isinstance(panels, Integral) or panels < 2:
-            raise ValidationError(f"panels must be None or an integer >= 2, got {panels!r}")
+        require_integer("panels", panels, 2, "None or an integer")
         curve = _resample(curve, panels)
     if len(curve.states) < 3:
         if len(curve.states) == 1:
@@ -280,7 +279,7 @@ def curve_speeds(curve: Curve, metric: str = "rld") -> np.ndarray:
     w = np.array([s.spectrum.eigenvalues for s in curve.states])
     v = np.array([s.spectrum.frame for s in curve.states])
     d = np.abs(v.conj().swapaxes(1, 2) @ vels @ v) ** 2
-    kernel = w < FULL_RANK_MIN_EIG
+    kernel = w <= FULL_RANK_MIN_EIG
     vanishing = ~kernel[:, None, :] | (d <= FULL_RANK_MIN_EIG**2)
     limit = kernel.any(axis=1) & vanishing.all(axis=(1, 2))
     w = np.maximum(w, 1e-290)
@@ -313,8 +312,7 @@ def _check_flow_start(start: GeodesicState, dt: float, steps: int) -> None:
     """Reject a bad dt or steps (dt < 0 runs backward) or start before any arithmetic."""
     if isinstance(dt, bool) or not isinstance(dt, Real) or not math.isfinite(dt) or dt == 0:
         raise ValidationError(f"dt must be finite and non-zero, got {dt!r}")
-    if isinstance(steps, bool) or not isinstance(steps, Integral) or steps < 0:
-        raise ValidationError(f"steps must be an integer >= 0, got {steps!r}")
+    require_integer("steps", steps, 0)
     l = start.rld_matrix
     if l.shape != start.state.mat.shape:
         raise DimensionMismatchError(f"L has shape {l.shape}, the state has dim {start.state.dim}")
@@ -506,9 +504,9 @@ def fr_estimate(
     anchor by +step or -step along a random direction: one stacked call
     re-evaluates, for both signs, only the two segments the anchor joins.
     """
-    for name, value in (("control_points", control_points), ("iterations", iterations)):
-        if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
-            raise ValidationError(f"{name} must be an integer >= 0, got {value!r}")
+    require_integer("control_points", control_points, 0)
+    require_integer("iterations", iterations, 0)
+    rng = rng_for(seed)
     rho.require_full_rank()
     sigma.require_full_rank()
     rt = minimal_reverse_test(rho, sigma)
@@ -524,7 +522,6 @@ def fr_estimate(
         return math.cos(0.5 * best)
     current = float(lengths.sum())  # only falls from here on
 
-    rng = rng_for(seed)
     step = 0.1 * float(np.mean([np.linalg.norm(a) for a in anchors]))
     shrink_levels = 0
     d = rho.dim
@@ -555,24 +552,16 @@ def fr_estimate(
 
 @dataclass(frozen=True)
 class ExpansionReport:
-    """Residuals of the second-order expansion at each eps, their fitted
-    log-log slope, and whether arccos F <= sqrt(2 (1-F)) (1 + (1-F)/6)
-    holds at the fidelity F computed at every eps."""
+    """Residuals of the second-order expansion at each eps and their fitted log-log slope."""
 
     eps: tuple[float, ...]
     residuals: tuple[float, ...]
     slope: float
-    arccos_bound_ok: bool
 
 
 def arccos_product_bound_holds() -> bool:
-    """arccos F <= sqrt(2 (1-F)) * (1 + (1-F)/6) on the grid F = 0, 0.001, ..., 1."""
-    return _arccos_product_bound_ok(np.arange(0.0, 1.0 + 1e-3 / 2, 1e-3))
-
-
-def _arccos_product_bound_ok(fidelities) -> bool:
-    """arccos F <= sqrt(2 (1-F)) * (1 + (1-F)/6), to 1e-9, at every given F."""
-    f = np.clip(np.asarray(fidelities, dtype=float), 0.0, 1.0)
+    """arccos F <= sqrt(2 (1-F)) * (1 + (1-F)/6), to 1e-9, on the grid F = 0, 0.001, ..., 1."""
+    f = np.arange(0.0, 1.0 + 1e-3 / 2, 1e-3)
     return bool(np.all(np.arccos(f) <= np.sqrt(2.0 * (1.0 - f)) * (1.0 + (1.0 - f) / 6.0) + 1e-9))
 
 
@@ -584,7 +573,9 @@ def expansion_check(
     """Order-of-convergence of 1 - F(rho, rho + eps drho) = eps^2 J / 8 + O(eps^3).
 
     ``which`` selects F_min (against J^R) or the Uhlmann fidelity (against
-    J^S).  The fitted log-log slope of the residual should sit near 3.
+    J^S).  The fitted log-log slope of the residual should sit near 3.  A
+    shifted state rho + eps drho that fails make_density's PSD check raises
+    a DomainError naming eps.
     """
     if which not in ("fmin", "uhlmann"):
         raise ValidationError("which must be 'fmin' or 'uhlmann'")
@@ -597,14 +588,15 @@ def expansion_check(
         raise ValidationError(f"eps_list must hold at least two distinct finite values > 0, got {eps_list!r}")
     rep = fisher_both(tp)
     j = rep.j_rld if which == "fmin" else rep.j_sld
-    fids, residuals = [], []
+    residuals = []
     for eps in eps_list:
-        shifted = tp.state.mat + eps * tp.velocity.entries
-        if np.linalg.eigvalsh(0.5 * (shifted + shifted.conj().T))[0] < -1e-8:
-            raise DomainError(f"state leaves the PSD cone at eps = {eps}")
-        sigma = make_density(shifted)
+        try:
+            sigma = make_density(tp.state.mat + eps * tp.velocity.entries)
+        except ValidationError as exc:
+            if not str(exc).startswith("min eigenvalue"):  # the PSD check, not trace or finiteness
+                raise
+            raise DomainError(f"state leaves the PSD cone at eps = {eps}") from exc
         fid = f_min(tp.state, sigma) if which == "fmin" else uhlmann_fidelity(tp.state, sigma)
-        fids.append(fid)
         residuals.append(abs(fid - (1.0 - eps * eps * j / 8.0)))
     if all(r == 0.0 for r in residuals):
         slope = math.inf
@@ -613,9 +605,4 @@ def expansion_check(
         slope = float(
             np.polyfit(np.log(eps_arr), np.log(np.maximum(residuals, floor)), 1)[0]
         )
-    return ExpansionReport(
-        eps=tuple(eps_list),
-        residuals=tuple(residuals),
-        slope=slope,
-        arccos_bound_ok=_arccos_product_bound_ok(fids),
-    )
+    return ExpansionReport(eps=tuple(eps_list), residuals=tuple(residuals), slope=slope)

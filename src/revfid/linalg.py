@@ -15,8 +15,9 @@ import numpy as np
 from .errors import DimensionMismatchError, DomainError, NotPsdError, ValidationError
 
 # Eigenvalues above -PSD_TOL_FACTOR * ||H||_F are clipped to zero; anything
-# lower is a hard PSD violation.  Shared by the square root, the support maps
-# and the geometric mean so all callers agree on the cone boundary.
+# lower is a hard PSD violation.  Shared by the square root and the geometric
+# mean so all callers agree on the cone boundary; general_reverse_test's
+# pseudo-inverse of TA cuts its kernel at the same relative level.
 PSD_TOL_FACTOR = 1e-10
 STRICT_POS_FACTOR = 1e-12
 
@@ -114,14 +115,6 @@ def psd_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         report = PsdReport(False, float(w[0]), tol)
         raise NotPsdError(f"matrix is not PSD: min eigenvalue {w[0]:.3e} < -{tol:.3e}", report=report)
     return np.clip(w, 0.0, None), v
-
-
-def support_inverse_power(w: np.ndarray, power: float) -> np.ndarray:
-    """w ** -power on the numerical support of clipped eigenvalues w
-    (ascending), zero on the kernel; power 0 gives the support mask."""
-    cut = PSD_TOL_FACTOR * max(1.0, float(w[-1]) if len(w) else 1.0)
-    on = w > cut
-    return np.where(on, 1.0 / np.where(on, w, 1.0) ** power, 0.0)
 
 
 def matrix_sqrt(P) -> HermitianMatrix:

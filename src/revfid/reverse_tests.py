@@ -15,7 +15,7 @@ import numpy as np
 
 from .divergences import _minimal_test, classical_fidelity, f_min_pure, t_spectrum, uhlmann_fidelity
 from .errors import DomainError, ValidationError
-from .linalg import HermitianMatrix, hermitian_part, require_finite, support_inverse_power, trace_norm
+from .linalg import PSD_TOL_FACTOR, HermitianMatrix, hermitian_part, require_finite, trace_norm
 from .states import DensityMatrix, ProbDist, PureState, make_density, rng_for
 
 COLUMN_NORM_TOL = 1e-9
@@ -156,7 +156,9 @@ def general_reverse_test(rho: DensityMatrix, sigma: DensityMatrix, a: np.ndarray
     # Schur complement of this C against the TA block is eps * I, so the
     # assembled block matrix stays PSD without any search.
     eps = 1e-9 * float(np.trace(t).real)
-    ta_pinv = (v_ta * support_inverse_power(w_ta, 1.0)) @ v_ta.conj().T
+    # TA's pseudo-inverse: eigenvalues at or below PSD_TOL_FACTOR * max(1, ||TA||) read as 0
+    on = w_ta > PSD_TOL_FACTOR * max(1.0, float(w_ta[-1]))
+    ta_pinv = (v_ta * np.where(on, 1.0 / np.where(on, w_ta, 1.0), 0.0)) @ v_ta.conj().T
     c = tap.conj().T @ ta_pinv @ tap + eps * np.eye(d)
     t_tilde = HermitianMatrix(np.block([[ta, tap], [tap.conj().T, c]]))
     scale = max(1.0, t_tilde.fro_norm())

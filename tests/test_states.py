@@ -66,6 +66,28 @@ def test_rng_streams_differ():
     assert not np.allclose(a, b)
 
 
+@pytest.mark.parametrize(
+    "seed, stream, name, shown",
+    [(-1, 0, "seed", "-1"), (1.9, 0, "seed", "1.9"), (True, 0, "seed", "True"), ("3", 0, "seed", "'3'"),
+     (1, -2, "stream", "-2"), (1, 0.0, "stream", "0.0"), (1, False, "stream", "False")],
+)
+def test_rng_for_rejects_non_integer_or_negative(seed, stream, name, shown):
+    # numpy's own message for -1 names neither argument, and int() truncated 1.9 to 1
+    with pytest.raises(ValidationError, match=rf"^{name} must be an integer >= 0, got {shown}$"):
+        rng_for(seed, stream)
+
+
+def test_rng_for_accepts_numpy_integers():
+    a = rng_for(np.int64(3), np.uint8(1)).standard_normal(4)
+    assert np.array_equal(a, rng_for(3, 1).standard_normal(4))
+
+
+def test_random_density_rejects_fractional_seed():
+    # it used to return the seed-1 state
+    with pytest.raises(ValidationError, match=r"^seed must be an integer >= 0, got 1\.9$"):
+        random_density(2, 2, 1.9)
+
+
 def test_pure_state_normalizes():
     psi = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
     assert psi.projector().mat[0, 0] == pytest.approx(0.5)
