@@ -61,6 +61,7 @@ from .states import (
     random_channel,
     random_density,
     random_tangent,
+    require_integer,
     rng_for,
     tensor,
 )
@@ -93,12 +94,12 @@ class RunConfig:
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValidationError("trials must be >= 1")
+        require_integer("seed", self.seed, None)  # negative suite seeds are valid
+        require_integer("trials", self.trials, 1)
         if not self.dims:
             raise ValidationError("dims must name at least one dimension")
-        if any(d < 2 for d in self.dims):
-            raise ValidationError("every dim must be >= 2")
+        for d in self.dims:
+            require_integer("every dim", d, 2)
         for name in self.tolerances:
             if name not in DEFAULT_TOLERANCES:
                 raise ValidationError(f"unknown tolerance {name!r}")

@@ -15,7 +15,7 @@ from .errors import DimensionMismatchError, DomainError, ValidationError
 from .linalg import (
     HermitianMatrix,
     SpectralDecomposition,
-    geometric_mean_from_sqrt,
+    geometric_mean_in_frame,
     map_spectrum,
     trace_norm,
 )
@@ -41,11 +41,12 @@ def classical_fidelity(p: ProbDist, q: ProbDist) -> float:
 
 
 def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """tr sqrt(sqrt(sigma) rho sqrt(sigma)), the largest monotone extension."""
+    """tr sqrt(sqrt(sigma) rho sqrt(sigma)), the largest monotone extension: the trace norm of
+    sqrt(rho) sqrt(sigma), the singular values of diag(w^1/2) V†U diag(s^1/2) for the stored spectra."""
     _check_dims(rho, sigma)
-    rs = rho.sqrt()
-    w = np.linalg.eigvalsh(rs @ sigma.mat @ rs)
-    return float(min(np.sum(np.sqrt(np.clip(w, 0.0, None))), 1.0))
+    rw, rs = (np.sqrt(np.clip(x.spectrum.eigenvalues, 0.0, None)) for x in (rho, sigma))
+    m = (rho.spectrum.frame.conj().T @ sigma.spectrum.frame) * rs * rw[:, None]
+    return float(min(np.sum(np.linalg.svd(m, compute_uv=False)), 1.0))
 
 
 def t_spectrum(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[SpectralDecomposition, np.ndarray, np.ndarray]:
@@ -96,10 +97,10 @@ def f_min(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def f_min_via_geomean(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Same quantity through the operator geometric mean tr(rho # sigma),
-    an independent route that never forms T's eigensystem."""
+    """Same quantity through the operator geometric mean tr(rho # sigma) in the base's stored
+    eigenframe, an independent route: an eigh of Z = diag(w^-1/2) V† other V diag(w^-1/2), not T's SVD."""
     base, other, _ = _t_base(rho, sigma)
-    g = geometric_mean_from_sqrt(base.sqrt(), other.mat)
+    g = geometric_mean_in_frame(base.spectrum, other.mat)
     return float(min(max(np.trace(g).real, 0.0), 1.0))
 
 

@@ -332,7 +332,7 @@ def _rejected_step(k: int, residual: float) -> DomainError:
     return DomainError(f"step {k} rejected: constraint residual {residual:.3e} exceeds {FLOW_CONSTRAINT_TOL}")
 
 
-def _integrate_flow(start: GeodesicState, dt: float, steps: int, deriv_l) -> Curve:
+def _integrate_flow(start: GeodesicState, dt: float, steps: int) -> Curve:
     total = dt * steps
     rho = np.empty((steps + 1,) + start.state.mat.shape, dtype=complex)
     l = np.empty_like(rho)
@@ -354,13 +354,13 @@ def _integrate_flow(start: GeodesicState, dt: float, steps: int, deriv_l) -> Cur
         for k in range(steps):
             try:
                 # classical 4-stage Runge-Kutta on the coupled (rho, L) system
-                k1l = deriv_l(r, m)
+                k1l = _rld_stage(r, m)
                 r2, m2 = r + half * k1r, m + half * k1l
-                k2r, k2l = m2.dot(r2), deriv_l(r2, m2)
+                k2r, k2l = m2.dot(r2), _rld_stage(r2, m2)
                 r3, m3 = r + half * k2r, m + half * k2l
-                k3r, k3l = m3.dot(r3), deriv_l(r3, m3)
+                k3r, k3l = m3.dot(r3), _rld_stage(r3, m3)
                 r4, m4 = r + whole * k3r, m + whole * k3l
-                k4r, k4l = m4.dot(r4), deriv_l(r4, m4)
+                k4r, k4l = m4.dot(r4), _rld_stage(r4, m4)
                 r = r + sixth * (k1r + (k2r + k2r) + (k3r + k3r) + k4r)  # x + x = 2x exactly
                 m = m + sixth * (k1l + (k2l + k2l) + (k3l + k3l) + k4l)
                 r = r + r.conj().T
@@ -428,7 +428,7 @@ def rld_geodesic_flow(start: GeodesicState, dt: float, steps: int) -> Curve:
     part dropped is O(dt * constraint residual); a step whose residual exceeds
     FLOW_CONSTRAINT_TOL, or is not finite, stops the flow with a DomainError."""
     _check_flow_start(start, dt, steps)
-    return _integrate_flow(start, dt, steps, _rld_stage)
+    return _integrate_flow(start, dt, steps)
 
 
 @functools.cache

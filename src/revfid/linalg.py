@@ -14,11 +14,11 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, NotPsdError, ValidationError
 
-# Eigenvalues above -PSD_TOL_FACTOR * ||H||_F are clipped to zero; anything
-# lower is a hard PSD violation.  Shared by the square root and the geometric
-# mean so all callers agree on the cone boundary; general_reverse_test's
-# pseudo-inverse of TA cuts its kernel at the same relative level.
+# matrix_sqrt, the one PSD square-root rule, clips eigenvalues above
+# -PSD_TOL_FACTOR * max(1, ||H||_F) to zero; anything lower is a hard PSD violation.
+# general_reverse_test's pseudo-inverse of TA cuts its kernel at the same relative level.
 PSD_TOL_FACTOR = 1e-10
+# geometric_mean's A and sample_contraction's T are singular iff lambda_min <= this * max(1, lambda_max)
 STRICT_POS_FACTOR = 1e-12
 
 
@@ -106,49 +106,40 @@ def map_spectrum(w: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
     return fw
 
 
-def psd_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystem of a Hermitian array, negative eigenvalues clipped to zero;
-    raises NotPsdError below -PSD_TOL_FACTOR * max(1, ||a||_F)."""
+def matrix_sqrt(P) -> HermitianMatrix:
+    """Principal square root of a PSD matrix, the one PSD square-root rule: NotPsdError below
+    -PSD_TOL_FACTOR * max(1, ||P||_F), else the root of the eigenvalues clipped to zero."""
+    a = _hermitian(P).entries
     w, v = np.linalg.eigh(a)
     tol = PSD_TOL_FACTOR * max(1.0, float(np.linalg.norm(a)))
     if w[0] < -tol:
         report = PsdReport(False, float(w[0]), tol)
         raise NotPsdError(f"matrix is not PSD: min eigenvalue {w[0]:.3e} < -{tol:.3e}", report=report)
-    return np.clip(w, 0.0, None), v
+    root = np.sqrt(np.clip(w, 0.0, None))
+    return HermitianMatrix(SpectralDecomposition(eigenvalues=w, frame=v).function(root))
 
 
-def matrix_sqrt(P) -> HermitianMatrix:
-    """Principal square root of a PSD matrix."""
-    w, v = psd_eigh(_hermitian(P).entries)
-    return HermitianMatrix((v * np.sqrt(w)) @ v.conj().T)
-
-
-def _mean_operands(A, B, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """(sqrt(A), B) as arrays, with positivity and the root read off one eigh of A;
+def geometric_mean(A, B) -> HermitianMatrix:
+    """Operator geometric mean A # B = sqrt(A) sqrt(A^-1/2 B A^-1/2) sqrt(A);
     DomainError unless A is strictly positive."""
     A, B = _hermitian(A), _hermitian(B)
     if A.dim != B.dim:
         raise DimensionMismatchError(f"dimension mismatch: {A.dim} vs {B.dim}")
-    w, v = np.linalg.eigh(A.entries)
-    if w[0] <= STRICT_POS_FACTOR * max(1.0, A.fro_norm()):
+    a = eig_hermitian(A)
+    if a.eigenvalues[0] <= STRICT_POS_FACTOR * max(1.0, a.eigenvalues[-1]):
         raise DomainError(
-            f"first argument of {what} is singular (min eigenvalue {w[0]:.3e}); "
+            f"first argument of geometric_mean is singular (min eigenvalue {a.eigenvalues[0]:.3e}); "
             "regularize explicitly (A + eps*I) before calling"
         )
-    return hermitian_part((v * np.sqrt(w)) @ v.conj().T), B.entries
+    return HermitianMatrix(geometric_mean_in_frame(a, B.entries))
 
 
-def geometric_mean(A, B) -> HermitianMatrix:
-    """Operator geometric mean A # B = sqrt(A) sqrt(A^-1/2 B A^-1/2) sqrt(A)."""
-    return HermitianMatrix(geometric_mean_from_sqrt(*_mean_operands(A, B, "geometric_mean")))
-
-
-def geometric_mean_from_sqrt(ra: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A # B = ra sqrt(ra^-1 B ra^-†) ra† as a plain array, for the invertible
-    root ra = sqrt(A) (inverted by LU)."""
-    ira = np.linalg.inv(ra)
-    w, v = psd_eigh(hermitian_part(ira @ b @ ira.conj().T))
-    return ra @ hermitian_part((v * np.sqrt(w)) @ v.conj().T) @ ra.conj().T
+def geometric_mean_in_frame(a: SpectralDecomposition, b: np.ndarray) -> np.ndarray:
+    """A # B as a plain array, not symmetrized, in the eigenframe of A = V diag(w) V† (w > 0):
+    V diag(w^1/2) Z^1/2 diag(w^1/2) V† with Z = diag(w^-1/2) V†BV diag(w^-1/2); no root of A is inverted."""
+    rw, v = np.sqrt(a.eigenvalues), a.frame
+    root_z = matrix_sqrt((v.conj().T @ b @ v) / np.outer(rw, rw)).entries
+    return v @ (rw[:, None] * root_z * rw) @ v.conj().T
 
 
 def trace_norm(X) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .divergences import _minimal_test, classical_fidelity, f_min_pure, t_spectrum, uhlmann_fidelity
 from .errors import DomainError, ValidationError
-from .linalg import PSD_TOL_FACTOR, HermitianMatrix, hermitian_part, require_finite, trace_norm
+from .linalg import PSD_TOL_FACTOR, STRICT_POS_FACTOR, HermitianMatrix, hermitian_part, require_finite, trace_norm
 from .states import DensityMatrix, ProbDist, PureState, make_density, rng_for
 
 COLUMN_NORM_TOL = 1e-9
@@ -103,7 +103,7 @@ def minimal_reverse_test(rho: DensityMatrix, sigma: DensityMatrix) -> ReverseTes
 def sample_contraction(t: HermitianMatrix, seed: int) -> np.ndarray:
     """Random contraction A with TA = A†T >= 0 and ||A||_op <= 1."""
     w, v = np.linalg.eigh(t.entries)
-    if w[0] <= 1e-12 * max(1.0, float(abs(w[-1]))):
+    if w[0] <= STRICT_POS_FACTOR * max(1.0, w[-1]):
         raise DomainError("sample_contraction requires strictly positive T")
     d = t.dim
     rng = rng_for(seed)

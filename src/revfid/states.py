@@ -30,11 +30,12 @@ EIG_TOL = 1e-8
 FULL_RANK_MIN_EIG = 1e-10
 
 
-def require_integer(name: str, value, least: int, what: str = "an integer") -> None:
-    """ValidationError naming ``name`` unless ``value`` is an integer >= least; numpy
-    integers count, bool does not."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-        raise ValidationError(f"{name} must be {what} >= {least}, got {value!r}")
+def require_integer(name: str, value, least: int | None, what: str = "an integer") -> None:
+    """ValidationError naming ``name`` unless ``value`` is an integer >= least (any integer
+    when least is None); numpy integers count, bool does not."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValidationError(f"{name} must be {what}{bound}, got {value!r}")
 
 
 def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
@@ -268,7 +269,9 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
     """Ginibre-induced random state of the given rank."""
-    if not 1 <= rank <= dim:
+    require_integer("dim", dim, 1)
+    require_integer("rank", rank, 1)
+    if rank > dim:
         raise ValidationError(f"rank {rank} out of range for dim {dim}")
     g = _ginibre(rng_for(seed), dim, rank)
     m = g @ g.conj().T
@@ -276,14 +279,15 @@ def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
 
 
 def random_pure(dim: int, seed: int) -> PureState:
+    require_integer("dim", dim, 1)
     v = _ginibre(rng_for(seed), dim, 1).reshape(-1)
     return PureState(v / np.linalg.norm(v))
 
 
 def random_channel(dim_in: int, dim_out: int, kraus_count: int, seed: int) -> Channel:
     """Random CPTP map: QR isometry into dim_out x kraus_count, sliced."""
-    if kraus_count < 1:
-        raise ValidationError("kraus_count must be >= 1")
+    for name, value in (("dim_in", dim_in), ("dim_out", dim_out), ("kraus_count", kraus_count)):
+        require_integer(name, value, 1)
     if dim_out * kraus_count < dim_in:
         raise ValidationError("dim_out * kraus_count must be >= dim_in for an isometry")
     g = _ginibre(rng_for(seed), dim_out * kraus_count, dim_in)

@@ -301,6 +301,27 @@ def test_run_config_validation():
         RunConfig(dims=(1,))
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"dims": (2.5,)}, r"^every dim must be an integer >= 2, got 2\.5$"),
+        ({"trials": 1.5}, r"^trials must be an integer >= 1, got 1\.5$"),
+        # the error used to name a derived trial seed, 2145557055.5
+        ({"seed": 1.5}, r"^seed must be an integer, got 1\.5$"),
+    ],
+    ids=["dims", "trials", "seed"],
+)
+def test_run_config_type_checks_integer_arguments(kwargs, message):
+    with pytest.raises(ValidationError, match=message):
+        RunConfig(**kwargs)
+
+
+def test_run_config_accepts_negative_and_numpy_seeds():
+    # `revfid suite --seed -5` is a valid run: the trial seeds are derived mod 2^31
+    assert RunConfig(seed=-5).seed == -5
+    assert RunConfig(seed=np.int64(-5), trials=np.int64(1), dims=(np.int32(2),)).trials == 1
+
+
 def test_run_config_rejects_empty_dims():
     # run_suite cycles trials over dims: an empty tuple divided by zero
     with pytest.raises(ValidationError, match="dims"):

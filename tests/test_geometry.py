@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -639,11 +640,18 @@ def test_geodesic_start_near_singular_rho():
     assert reached == 253
 
 
+def _flow_with_stage(stage, start, dt, steps):
+    """The RK4 integrator of rld_geodesic_flow with its stage solve dL/dt = _rld_stage(r, m)
+    replaced by ``stage``."""
+    with mock.patch.object(geometry, "_rld_stage", stage):
+        return _integrate_flow(start, dt, steps)
+
+
 def _matrix_rk4_flow(start, dt, steps):
     """The commutative flow as a d x d matrix RK4 on (rho, L): the ODE route
     that the closed form of commutative_geodesic_flow is checked against."""
     eye = np.eye(start.state.dim)
-    return _integrate_flow(start, dt, steps, lambda _r, m: -0.5 * (m @ m + eye))
+    return _flow_with_stage(lambda _r, m: -0.5 * (m @ m + eye), start, dt, steps)
 
 
 def test_commutative_flow_matches_matrix_rk4():
@@ -716,7 +724,7 @@ def test_flow_reports_first_invalid_step_before_later_abort(abort_after_calls):
         return -np.diag([40.0, 0.0])
 
     with pytest.raises(ValidationError, match="min eigenvalue"):
-        _integrate_flow(gs, 0.5, 3, deriv_l)
+        _flow_with_stage(deriv_l, gs, 0.5, 3)
 
 
 def _unit_start():
@@ -786,7 +794,7 @@ def test_rld_stage_unconverged_eigensolve_is_not_finite(monkeypatch):
 
 def test_integrate_flow_nan_derivative_is_the_steps_domain_error():
     with pytest.raises(DomainError, match="step 1 rejected: constraint residual nan"):
-        _integrate_flow(_unit_start(), 0.01, 3, lambda r, _m: np.full_like(r, np.nan))
+        _flow_with_stage(lambda r, _m: np.full_like(r, np.nan), _unit_start(), 0.01, 3)
 
 
 def _schur_stage(r, m):
@@ -807,7 +815,7 @@ def _schur_stage(r, m):
 
 
 def _schur_flow(start, dt, steps):
-    return _integrate_flow(start, dt, steps, _schur_stage)
+    return _flow_with_stage(_schur_stage, start, dt, steps)
 
 
 def _flow_outcome(flow, gs, dt, steps):

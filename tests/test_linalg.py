@@ -4,6 +4,7 @@ import pytest
 from revfid.divergences import OperatorMonotoneSpec, f_f_min
 from revfid.errors import DimensionMismatchError, DomainError, NotPsdError, ValidationError
 from revfid.linalg import (
+    STRICT_POS_FACTOR,
     HermitianMatrix,
     eig_hermitian,
     geometric_mean,
@@ -11,6 +12,7 @@ from revfid.linalg import (
     matrix_sqrt,
     trace_norm,
 )
+from revfid.reverse_tests import sample_contraction
 from revfid.states import random_density
 
 
@@ -88,6 +90,22 @@ def test_geometric_mean_symmetric():
 def test_geometric_mean_rejects_singular_base():
     with pytest.raises(DomainError):
         geometric_mean(np.diag([1.0, 0.0]), np.eye(2))
+
+
+@pytest.mark.parametrize("least", [0.9e-11, 1.5e-11, 0.9e-12, 1.5e-12])
+def test_one_strict_positivity_rule(least):
+    # the geometric mean's base and sample_contraction's T are strictly positive iff
+    # lambda_min > STRICT_POS_FACTOR * max(1, lambda_max); at 1.5e-11 the base's old
+    # scale, ||A||_F = 17.3, rejected what sample_contraction accepted
+    lam_max = 10.0 if least > 5e-12 else 0.5
+    t = HermitianMatrix(np.diag([least, lam_max, lam_max, lam_max]))
+    calls = (lambda: geometric_mean(t, np.eye(4)), lambda: sample_contraction(t, 0))
+    for call in calls:
+        if least <= STRICT_POS_FACTOR * max(1.0, lam_max):
+            with pytest.raises(DomainError):
+                call()
+        else:
+            call()
 
 
 def weighted_geometric_mean(A, B, alpha):

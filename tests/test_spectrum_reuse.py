@@ -39,7 +39,7 @@ from revfid.geometry import (
     sld_fisher,
     tangent_reverse_estimation,
 )
-from revfid.linalg import HermitianMatrix, eig_hermitian, matrix_sqrt
+from revfid.linalg import HermitianMatrix, eig_hermitian, geometric_mean, matrix_sqrt
 from revfid.reverse_tests import (
     general_reverse_test,
     hidden_pair,
@@ -364,6 +364,24 @@ def test_one_decomposition_per_call_on_validated_pair(call, decompositions):
     decompositions.update(eigh=0, eigvalsh=0)  # the states' own validation is done
     call(rho, sigma)
     assert _decompositions(decompositions) == 1
+    assert decompositions["inv"] == 0
+
+
+def test_geometric_mean_routes_invert_nothing(decompositions):
+    # A # B in A's eigenframe: an eigh of A, then one of Z = diag(w^-1/2) V†BV diag(w^-1/2);
+    # f_min_via_geomean reads the base's stored spectrum for the first, and the Uhlmann
+    # fidelity is the one SVD of diag(w^1/2) V†U diag(s^1/2)
+    rho = random_density(3, 3, 1)
+    sigma = random_density(3, 3, 2)
+    decompositions.update(eigh=0, eigvalsh=0)
+    geometric_mean(rho.mat, sigma.mat)
+    assert decompositions == {"eigh": 2, "eigvalsh": 0, "svd": 0, "inv": 0, "solve": 0}
+    decompositions.update(eigh=0)
+    f_min_via_geomean(rho, sigma)
+    assert decompositions == {"eigh": 1, "eigvalsh": 0, "svd": 0, "inv": 0, "solve": 0}
+    decompositions.update(eigh=0)
+    uhlmann_fidelity(rho, sigma)
+    assert decompositions == {"eigh": 0, "eigvalsh": 0, "svd": 1, "inv": 0, "solve": 0}
 
 
 def test_reverse_relative_entropy_inverts_nothing(decompositions):

@@ -88,6 +88,25 @@ def test_random_density_rejects_fractional_seed():
         random_density(2, 2, 1.9)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: random_density(2.0, 2, 1), r"^dim must be an integer >= 1, got 2\.0$"),
+        (lambda: random_density(2, 1.0, 1), r"^rank must be an integer >= 1, got 1\.0$"),
+        (lambda: random_pure(2.5, 1), r"^dim must be an integer >= 1, got 2\.5$"),
+        (lambda: random_pure(0, 1), r"^dim must be an integer >= 1, got 0$"),
+        (lambda: random_channel(2, 2, 1.5, 1), r"^kraus_count must be an integer >= 1, got 1\.5$"),
+        (lambda: random_channel(2.0, 2, 1, 1), r"^dim_in must be an integer >= 1, got 2\.0$"),
+    ],
+    ids=["density-dim", "density-rank", "pure-dim", "pure-zero-dim", "channel-kraus-count", "channel-dim-in"],
+)
+def test_random_generators_type_check_integer_arguments(call, message):
+    # numpy raised a raw TypeError for a float shape, and a 0-dim pure state
+    # failed as "state vector norm 0.0 deviates from 1"
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
 def test_pure_state_normalizes():
     psi = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
     assert psi.projector().mat[0, 0] == pytest.approx(0.5)
