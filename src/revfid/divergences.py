@@ -19,7 +19,7 @@ from .linalg import (
     map_spectrum,
     trace_norm,
 )
-from .states import FULL_RANK_MIN_EIG, DensityMatrix, ProbDist, PureState
+from .states import FULL_RANK_MIN_EIG, DensityMatrix, ProbDist, PureState, _check_dims
 
 _SINGULAR = "{} is singular (min eigenvalue {{lam:.3e}}); use the pure-target closed form or regularize explicitly"
 
@@ -27,11 +27,6 @@ _SINGULAR = "{} is singular (min eigenvalue {{lam:.3e}}); use the pure-target cl
 def _check_sizes(p: ProbDist, q: ProbDist) -> None:
     if p.size != q.size:
         raise DimensionMismatchError(f"distribution sizes differ: {p.size} vs {q.size}")
-
-
-def _check_dims(rho: DensityMatrix, sigma: DensityMatrix) -> None:
-    if rho.dim != sigma.dim:
-        raise DimensionMismatchError(f"state dims differ: {rho.dim} vs {sigma.dim}")
 
 
 def classical_fidelity(p: ProbDist, q: ProbDist) -> float:
@@ -107,8 +102,7 @@ def f_min_via_geomean(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 def f_min_pure(rho: DensityMatrix, phi: PureState) -> float:
     """F_min against a pure target, from the overlaps c = V† phi with rho = V diag(w) V†: 0 when
     ||c|| on the kernel (w <= FULL_RANK_MIN_EIG) exceeds 1e-8, else 1 / ||c_i / sqrt(w_i)|| on the support."""
-    if rho.dim != phi.dim:
-        raise DimensionMismatchError(f"state dims differ: {rho.dim} vs {phi.dim}")
+    _check_dims(rho, phi)
     w = rho.spectrum.eigenvalues
     c = rho.spectrum.frame.conj().T @ phi.amplitudes
     on = w > FULL_RANK_MIN_EIG

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergences import f_min, uhlmann_fidelity
+from .divergences import _check_sizes, f_min, uhlmann_fidelity
 from .errors import DimensionMismatchError, DomainError, ValidationError
 from .linalg import HermitianMatrix, hermitian_part, require_finite
 from .reverse_tests import ReverseTest, minimal_reverse_test
@@ -76,6 +76,9 @@ class Curve:
             raise ValidationError("time grid must be strictly increasing")
         if self.velocities is not None and len(self.velocities) != len(self.states):
             raise ValidationError("velocities length must match states")
+        dims = {x.dim for x in (*self.states, *(self.velocities or ()))}
+        if len(dims) > 1:
+            raise DimensionMismatchError(f"curve states and velocities mix dims {sorted(dims)}")
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", tuple(self.states))
@@ -164,6 +167,7 @@ def tangent_reverse_estimation(
 
 
 def classical_fisher(p: ProbDist, dp: SignedVector) -> float:
+    _check_sizes(p, dp)
     mask = p.weights > 0
     return float(np.sum(dp.values[mask] ** 2 / p.weights[mask]))
 

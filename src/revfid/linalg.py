@@ -16,7 +16,7 @@ from .errors import DimensionMismatchError, DomainError, NotPsdError, Validation
 
 # matrix_sqrt, the one PSD square-root rule, clips eigenvalues above
 # -PSD_TOL_FACTOR * max(1, ||H||_F) to zero; anything lower is a hard PSD violation.
-# general_reverse_test's pseudo-inverse of TA cuts its kernel at the same relative level.
+# general_reverse_test cuts the kernel of K = TA at the same level relative to max(1, ||K||).
 PSD_TOL_FACTOR = 1e-10
 # geometric_mean's A and sample_contraction's T are singular iff lambda_min <= this * max(1, lambda_max)
 STRICT_POS_FACTOR = 1e-12

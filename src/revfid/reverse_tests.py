@@ -3,8 +3,8 @@ that map back onto a given pair of quantum states.
 
 The minimal construction diagonalizes T = sqrt(rho^-1/2 sigma rho^-1/2)
 and reads the optimal (p, q) off the eigenframe; the general family is
-parameterized by a contraction A commuting against T, completed to an
-isometry row block and embedded in a larger PSD matrix.
+parameterized by a contraction A with TA = A†T >= 0 and read off one SVD
+of T on the support of TA, plus the letters of I - A†A.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .divergences import _minimal_test, classical_fidelity, f_min_pure, t_spectrum, uhlmann_fidelity
 from .errors import DomainError, ValidationError
 from .linalg import PSD_TOL_FACTOR, STRICT_POS_FACTOR, HermitianMatrix, hermitian_part, require_finite, trace_norm
-from .states import DensityMatrix, ProbDist, PureState, make_density, rng_for
+from .states import DensityMatrix, ProbDist, PureState, _check_dims, make_density, rng_for
 
 COLUMN_NORM_TOL = 1e-9
 DROP_COLUMN_NORM = 1e-12
@@ -74,6 +74,8 @@ def verify_reverse_test(
     rt: ReverseTest, rho: DensityMatrix, sigma: DensityMatrix, tol: float = 1e-7
 ) -> VerificationReport:
     """Trace-norm residuals of the preparation identities."""
+    _check_dims(rt, rho)
+    _check_dims(rt, sigma)
     prep_rho, prep_sigma = rt.prepared_pair()
     r_res = trace_norm(prep_rho - rho.mat)
     s_res = trace_norm(prep_sigma - sigma.mat)
@@ -116,32 +118,15 @@ def sample_contraction(t: HermitianMatrix, seed: int) -> np.ndarray:
     return a
 
 
-def _contraction_eigh(t: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(TA, w, v, A') for a contraction A with TA = A†T >= 0.  A's one SVD A = P diag(a) Q† checks
-    ||A|| <= 1 and completes the isometry row, A' = P diag(sqrt(1 - a^2)) with A A† + A' A'† = I, its
-    nonzero columns first; one eigh of TA's Hermitian part gives w, clipped at 0 after the PSD check."""
-    scale = max(1.0, np.linalg.norm(t))
-    p, sv, _ = np.linalg.svd(a)
-    if sv[0] > 1.0 + 1e-10:
-        raise ValidationError("A is not a contraction")
-    ta = t @ a
-    if np.linalg.norm(ta - a.conj().T @ t) > 1e-8 * scale:
-        raise ValidationError("A violates TA = A†T")
-    ta = hermitian_part(ta)
-    w, v = np.linalg.eigh(ta)
-    if w[0] < -1e-8 * scale:
-        raise ValidationError("TA is not PSD")
-    gap = ((1.0 - sv) * (1.0 + sv))[::-1]
-    a_prime = p[:, ::-1] * np.sqrt(np.where(gap > 1e-12, gap, 0.0))
-    return ta, np.clip(w, 0.0, None), v, a_prime
-
-
 def general_reverse_test(rho: DensityMatrix, sigma: DensityMatrix, a: np.ndarray) -> ReverseTest:
-    """A-parameterized reverse test over an alphabet of at most 2 dim letters.
+    """A-parameterized reverse test over an alphabet of at most 2 dim letters, with fidelity tr(rho TA).
 
-    With A = identity the extra letters get no weight and are dropped, which
-    leaves the minimal test; strict contractions give strictly smaller
-    classical fidelity.
+    A = P diag(a) Q† must be a contraction with K = TA = A†T = V diag(w) V† >= 0 and T on K's support.
+    The SVD T V diag(w^-1/2) = Psi diag(s) Y† on that support gives letters psi_x preparing
+    sqrt(rho) A† psi_x for rho and s_x sqrt(rho) K^1/2 y_x = s_x^2 sqrt(rho) A† psi_x for sigma; the
+    letters of I - A†A = Q diag(1 - a^2) Q† prepare rho only.  With A = identity, Psi is T's frame
+    and s^2 = t, which leaves the minimal test; strict contractions give strictly smaller classical
+    fidelity.
     """
     d = rho.dim
     spec, *_ = t_spectrum(rho, sigma)
@@ -150,33 +135,34 @@ def general_reverse_test(rho: DensityMatrix, sigma: DensityMatrix, a: np.ndarray
     if a.shape != (d, d):
         raise ValidationError(f"contraction must be {d}x{d}, got {a.shape}")
     require_finite(a, "contraction A")
-    ta, w_ta, v_ta, a_prime = _contraction_eigh(t, a)
-
-    tap = t @ a_prime
-    # Schur complement of this C against the TA block is eps * I, so the
-    # assembled block matrix stays PSD without any search.
-    eps = 1e-9 * float(np.trace(t).real)
-    # TA's pseudo-inverse: eigenvalues at or below PSD_TOL_FACTOR * max(1, ||TA||) read as 0
-    on = w_ta > PSD_TOL_FACTOR * max(1.0, float(w_ta[-1]))
-    ta_pinv = (v_ta * np.where(on, 1.0 / np.where(on, w_ta, 1.0), 0.0)) @ v_ta.conj().T
-    c = tap.conj().T @ ta_pinv @ tap + eps * np.eye(d)
-    t_tilde = HermitianMatrix(np.block([[ta, tap], [tap.conj().T, c]]))
-    scale = max(1.0, t_tilde.fro_norm())
-    w, frame = np.linalg.eigh(t_tilde.entries)
-    if w[0] < -1e-7 * scale:
-        raise ValidationError("assembled block matrix is not PSD; A is outside the valid family")
+    scale = max(1.0, np.linalg.norm(t))
+    _, sv, qh = np.linalg.svd(a)
+    if sv[0] > 1.0 + 1e-10:
+        raise ValidationError("A is not a contraction")
+    k = t @ a
+    if np.linalg.norm(k - a.conj().T @ t) > 1e-8 * scale:
+        raise ValidationError("A violates TA = A†T")
+    w, v = np.linalg.eigh(hermitian_part(k))
+    if w[0] < -1e-8 * scale:
+        raise ValidationError("TA is not PSD")
+    # K's support: eigenvalues at or below PSD_TOL_FACTOR * max(1, ||K||) read as 0
+    on = w > PSD_TOL_FACTOR * max(1.0, float(w[-1]))
+    if np.linalg.norm(v[:, ~on].conj().T @ t) > 1e-8 * scale:
+        raise ValidationError("T leaves the support of TA; A is outside the valid family")
+    v, w = v[:, on], w[on]
+    psi, s, yh = np.linalg.svd(t @ v / np.sqrt(w))  # the full Psi: columns beyond K's rank get q = 0
 
     sr = rho.sqrt()
-    cols = sr @ frame[:d]
-    norms = np.linalg.norm(cols, axis=0)
+    gap = (1.0 - sv) * (1.0 + sv)
+    rho_amp = np.hstack([sr @ a.conj().T @ psi, sr @ qh.conj().T * np.sqrt(np.where(gap > 1e-12, gap, 0.0))])
+    sigma_amp = np.zeros_like(rho_amp)
+    sigma_amp[:, : len(s)] = sr @ (v * np.sqrt(w)) @ yh.conj().T * s
+    p, q = (np.linalg.norm(x, axis=0) ** 2 for x in (rho_amp, sigma_amp))
+    # the two amplitudes are parallel; the longer one carries the direction with the smaller relative error
+    cols = np.where(q > p, sigma_amp, rho_amp)
+    norms = np.sqrt(np.maximum(p, q))
     keep = norms > DROP_COLUMN_NORM
-    cols = cols[:, keep]
-    norms = norms[keep]
-    p = norms**2
-    # q_x = ||sqrt(rho) [TA, TA'] f_x||^2 = t_x^2 p_x keeps sum_x q_x = tr sigma;
-    # C can put a huge t_x on a tiny p_x, where t_x^2 p_x loses that mass
-    q = np.linalg.norm(sr @ t_tilde.entries[:d] @ frame[:, keep], axis=0) ** 2
-    return ReverseTest(prep=cols / norms, p=ProbDist(p), q=ProbDist(q))
+    return ReverseTest(prep=cols[:, keep] / norms[keep], p=ProbDist(p[keep]), q=ProbDist(q[keep]))
 
 
 def pure_target_reverse_test(rho: DensityMatrix, phi: PureState) -> ReverseTest:

@@ -362,6 +362,13 @@ def random_tangent(dim: int, seed: int) -> tuple[DensityMatrix, HermitianMatrix]
     return rho, HermitianMatrix(v)
 
 
+def _check_dims(a, b) -> None:
+    """DimensionMismatchError unless the operands (anything with ``dim``) share the Hilbert dimension."""
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"state dims differ: {a.dim} vs {b.dim}")
+
+
 def state_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Trace-norm distance used in residual checks."""
+    _check_dims(a, b)
     return trace_norm(a.mat - b.mat)

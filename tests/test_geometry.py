@@ -44,7 +44,9 @@ from revfid.geometry import (
 from revfid.linalg import HermitianMatrix
 from revfid.states import (
     DensityMatrix,
+    ProbDist,
     PureState,
+    SignedVector,
     make_density,
     random_density,
     random_tangent,
@@ -133,6 +135,11 @@ def test_tangent_estimation_zero_velocity():
     _, p, dp = tangent_reverse_estimation(tp)
     assert np.allclose(dp.values, 0.0)
     assert classical_fisher(p, dp) == 0.0
+
+
+def test_classical_fisher_rejects_mismatched_sizes():
+    with pytest.raises(DimensionMismatchError):
+        classical_fisher(ProbDist([0.5, 0.5]), SignedVector([0.1, -0.1, 0.0]))
 
 
 def test_tangent_estimation_achieves_rld():
@@ -262,6 +269,16 @@ def test_curve_rejects_malformed_grids(times, n_states, n_velocities, match):
     vels = None if n_velocities is None else (HermitianMatrix(np.zeros((2, 2))),) * n_velocities
     with pytest.raises(ValidationError, match=match):
         Curve(np.array(times), (rho,) * n_states, vels)
+
+
+@pytest.mark.parametrize("velocity_dim", [None, 3])
+def test_curve_rejects_mixed_dims(velocity_dim):
+    # unchecked, curve_length failed later with a raw numpy ValueError
+    rho = random_density(2, 2, 1)
+    states = (rho, rho, random_density(3, 3, 1)) if velocity_dim is None else (rho,) * 3
+    vels = None if velocity_dim is None else (HermitianMatrix(np.zeros((velocity_dim,) * 2)),) * 3
+    with pytest.raises(DimensionMismatchError):
+        Curve(np.array([0.0, 0.5, 1.0]), states, vels)
 
 
 def test_curve_length_of_one_state_is_zero():

@@ -10,7 +10,7 @@ from revfid.divergences import (
     t_operator,
     uhlmann_fidelity,
 )
-from revfid.errors import DomainError, ValidationError
+from revfid.errors import DimensionMismatchError, DomainError, ValidationError
 from revfid.linalg import HermitianMatrix
 from revfid.reverse_tests import (
     ReverseTest,
@@ -96,6 +96,50 @@ def test_general_reverse_test_identity_recovers_minimal():
     assert abs(rt.fidelity() - f_min(rho, sigma)) < 1e-7
 
 
+def _fidelity_gap(rt, rho, sigma, a):
+    # the family's contract: the test built from A has classical fidelity tr(rho T A)
+    return abs(rt.fidelity() - np.trace(rho.mat @ t_operator(rho, sigma).entries @ a).real)
+
+
+def test_general_reverse_test_identity_on_rank_deficient_sigma_is_minimal():
+    # Psi's columns beyond T's rank carry rho's mass on T's kernel with q = 0;
+    # a reduced SVD would drop them and lose that mass
+    for dim in (2, 3, 4):
+        for seed in range(100):
+            rho = random_density(dim, dim, seed)
+            sigma = random_density(dim, 1 + seed % (dim - 1), seed + 7)
+            rt = general_reverse_test(rho, sigma, np.eye(dim))
+            rep = verify_reverse_test(rt, rho, sigma)
+            assert max(rep.rho_residual, rep.sigma_residual) <= 1e-12, (dim, seed)
+            assert abs(rt.fidelity() - f_min(rho, sigma)) <= 1e-12, (dim, seed)
+
+
+def test_general_reverse_test_fidelity_is_tr_rho_ta():
+    for dim in (2, 3, 4, 5):
+        for seed in range(100):
+            rho = random_density(dim, dim, seed)
+            sigma = random_density(dim, dim, seed + 7)
+            for a in (sample_contraction(t_operator(rho, sigma), seed), np.eye(dim)):
+                rt = general_reverse_test(rho, sigma, a)
+                assert verify_reverse_test(rt, rho, sigma, tol=1e-10).passes, (dim, seed)
+                assert _fidelity_gap(rt, rho, sigma, a) <= 1e-12, (dim, seed)
+
+
+def test_general_reverse_test_on_ill_conditioned_rho():
+    # lambda_min(rho) down to 1e-9 puts s_x ~ 1e6 on a letter with p_x ~ 1e-25:
+    # that letter's direction comes from its sigma amplitude, which is s_x^2
+    # times longer than its rho amplitude
+    for dim in (2, 3, 4):
+        for seed in range(200):
+            eps = 10.0 ** (-9 + 9 * (seed % 50) / 50)
+            rho = make_density((1 - eps) * random_density(dim, (dim + 1) // 2, seed).mat + eps * np.eye(dim) / dim)
+            sigma = random_density(dim, dim, seed + 7)
+            a = sample_contraction(t_operator(rho, sigma), seed)
+            rt = general_reverse_test(rho, sigma, a)
+            assert verify_reverse_test(rt, rho, sigma, tol=1e-7).passes, (dim, seed)
+            assert _fidelity_gap(rt, rho, sigma, a) <= 1e-10, (dim, seed)
+
+
 def test_general_reverse_test_strict_contraction_loses():
     rho, sigma = qubit_pair(13)
     t = t_operator(rho, sigma)
@@ -129,6 +173,12 @@ def test_general_reverse_test_rejects_non_finite_a(bad):
     a[0, 1] = bad
     with pytest.raises(ValidationError, match="contraction A has non-finite entries"):
         general_reverse_test(rho, sigma, a)
+
+
+def test_verify_reverse_test_dim_mismatch():
+    rho2, rho3 = random_density(2, 2, 1), random_density(3, 3, 1)
+    with pytest.raises(DimensionMismatchError):
+        verify_reverse_test(minimal_reverse_test(rho2, rho2), rho3, rho3)
 
 
 def test_pure_target_reverse_test():
@@ -240,9 +290,9 @@ def test_prepared_pair_matches_classical_embedding():
 
 
 def test_general_reverse_test_keeps_q_mass_on_ill_conditioned_pair():
-    # lambda_min(rho) = 2.7e-5 and T spans 0.11 to 124: the completion block C
-    # puts a 1.5e8 eigenvalue on a column with p ~ 3e-17, where t^2 p lost
-    # 1.7e-8 of q's mass and ProbDist rejected it
+    # lambda_min(rho) = 2.7e-5 and T spans 0.11 to 124: a letter with p ~ 3e-17
+    # carries q's mass, and computing q as t^2 p lost 1.7e-8 of it, which
+    # ProbDist rejected
     from revfid.cli import RunConfig, run_suite
 
     report = run_suite("all", RunConfig(seed=16657441, trials=1, dims=(3,)))

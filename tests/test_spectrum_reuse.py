@@ -410,15 +410,15 @@ def test_tangent_layer_reads_the_stored_spectrum(fn, eighs, decompositions):
 
 
 def test_general_reverse_test_decomposes_ta_once(decompositions):
-    # T's SVD, A's SVD (the contraction check ||A||_2 <= 1 and the isometry
-    # completion A'), TA (checked and inverted from one eigh), and the
-    # assembled block matrix
+    # T's SVD, A's SVD (the contraction check ||A||_2 <= 1 and the letters of
+    # I - A†A), TA's eigh (the PSD and support checks), and one d x d SVD of
+    # T on TA's support; nothing 2d x 2d
     rho = random_density(3, 3, 1)
     sigma = random_density(3, 3, 2)
     a = sample_contraction(t_operator(rho, sigma), 5)
     decompositions.update(eigh=0, eigvalsh=0, svd=0)
     general_reverse_test(rho, sigma, a)
-    assert decompositions == {"eigh": 2, "eigvalsh": 0, "svd": 2, "inv": 0, "solve": 0}
+    assert decompositions == {"eigh": 1, "eigvalsh": 0, "svd": 3, "inv": 0, "solve": 0}
 
 
 def test_hidden_pair_reads_t_from_one_svd(decompositions):

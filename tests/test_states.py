@@ -24,6 +24,7 @@ from revfid.states import (
     random_pure,
     random_tangent,
     rng_for,
+    state_distance,
     tensor,
 )
 
@@ -151,6 +152,11 @@ def test_apply_channel_dim_mismatch():
     lam = random_channel(2, 2, 2, 1)
     with pytest.raises(DimensionMismatchError):
         apply_channel(lam, random_density(3, 3, 1))
+
+
+def test_state_distance_dim_mismatch():
+    with pytest.raises(DimensionMismatchError):
+        state_distance(random_density(2, 2, 1), random_density(3, 3, 1))
 
 
 def test_preparation_channel_prepares_columns():
