@@ -18,6 +18,7 @@ from .linalg import (
     geometric_mean_in_frame,
     map_spectrum,
     trace_norm,
+    zero_roundoff,
 )
 from .states import FULL_RANK_MIN_EIG, DensityMatrix, ProbDist, PureState, _check_dims
 
@@ -39,7 +40,7 @@ def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """tr sqrt(sqrt(sigma) rho sqrt(sigma)), the largest monotone extension: the trace norm of
     sqrt(rho) sqrt(sigma), the singular values of diag(w^1/2) V†U diag(s^1/2) for the stored spectra."""
     _check_dims(rho, sigma)
-    rw, rs = (np.sqrt(np.clip(x.spectrum.eigenvalues, 0.0, None)) for x in (rho, sigma))
+    rw, rs = (np.sqrt(x.spectrum.eigenvalues) for x in (rho, sigma))
     m = (rho.spectrum.frame.conj().T @ sigma.spectrum.frame) * rs * rw[:, None]
     return float(min(np.sum(np.linalg.svd(m, compute_uv=False)), 1.0))
 
@@ -47,15 +48,14 @@ def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 def t_spectrum(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[SpectralDecomposition, np.ndarray, np.ndarray]:
     """Eigensystem of T = sqrt(rho^-1/2 sigma rho^-1/2), ascending, with R† and s: for the stored spectra
     rho = V diag(w) V†, sigma = U diag(s) U†, the SVD diag(w^-1/2) V†U diag(s^1/2) = L diag(t) R† gives t and
-    the frame V L, and sqrt(rho) T = U diag(s^1/2) R L† V†; s <= 1e-14 max(s) (sigma's kernel) and
-    t <= d eps max(t) (LAPACK's error bound) read as 0."""
+    the frame V L, and sqrt(rho) T = U diag(s^1/2) R L† V†; s (sigma's kernel) and t pass through
+    the one zero rule, linalg.zero_roundoff."""
     _check_dims(rho, sigma)
     rho.require_full_rank(_SINGULAR.format("rho"))
     w, v = rho.spectrum.eigenvalues, rho.spectrum.frame
-    s, u = sigma.spectrum.eigenvalues, sigma.spectrum.frame
-    s = np.where(s > 1e-14 * s[-1], s, 0.0)
+    s, u = zero_roundoff(sigma.spectrum.eigenvalues), sigma.spectrum.frame
     left, t, right = np.linalg.svd((v.conj().T @ u) * np.sqrt(s) / np.sqrt(w)[:, None])
-    t = np.where(t > len(t) * np.finfo(float).eps * t[0], t, 0.0)
+    t = zero_roundoff(t)
     return SpectralDecomposition(eigenvalues=t[::-1], frame=(v @ left)[:, ::-1]), right[::-1], s
 
 

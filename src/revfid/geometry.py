@@ -15,7 +15,7 @@ import numpy as np
 
 from .divergences import _check_sizes, f_min, uhlmann_fidelity
 from .errors import DimensionMismatchError, DomainError, ValidationError
-from .linalg import HermitianMatrix, hermitian_part, require_finite
+from .linalg import CONE_MIN_EIG, EQUAL_PAIR_FIDELITY, HermitianMatrix, hermitian_part, require_finite
 from .reverse_tests import ReverseTest, minimal_reverse_test
 from .states import (
     FULL_RANK_MIN_EIG,
@@ -183,7 +183,7 @@ def _great_circle(rho: DensityMatrix, rt: ReverseTest, n_samples: int) -> Curve:
     """The geodesic of :func:`fmin_geodesic` from its minimal reverse test rt."""
     fid = rt.fidelity()
     times = np.linspace(0.0, 1.0, n_samples)
-    if fid >= 1.0 - 1e-12:
+    if fid >= EQUAL_PAIR_FIDELITY:
         zero = HermitianMatrix(np.zeros((rho.dim, rho.dim)))
         return Curve(times, tuple([rho] * n_samples), tuple([zero] * n_samples))
     theta = math.acos(min(max(fid, 0.0), 1.0))
@@ -486,7 +486,7 @@ def _segment_lengths(starts: np.ndarray, ends: np.ndarray):
     tau = np.where(degenerate, 1.0, tau)[..., None, None]
     rho = m / tau
     drho = (dm - rho * dtau[..., None, None]) / tau
-    failing = np.where(degenerate, 1, 2 * (np.linalg.eigvalsh(rho)[..., 0] <= 1e-13))
+    failing = np.where(degenerate, 1, 2 * (np.linalg.eigvalsh(rho)[..., 0] <= CONE_MIN_EIG))
     if failing.any():  # the identity stands in for failing nodes, so the solve cannot fail
         rho = np.where(failing[..., None, None] > 0, np.eye(rho.shape[-1]), rho)
     j = np.einsum("...ij,...ji->...", drho, np.linalg.solve(rho, drho)).real
@@ -515,7 +515,7 @@ def fr_estimate(
     sigma.require_full_rank()
     rt = minimal_reverse_test(rho, sigma)
     fmin_val = rt.fidelity()
-    if fmin_val >= 1.0 - 1e-12:
+    if fmin_val >= EQUAL_PAIR_FIDELITY:
         return 1.0
     best = 2.0 * math.acos(fmin_val)  # exact length of the commutative geodesic
 

@@ -14,12 +14,31 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, NotPsdError, ValidationError
 
-# matrix_sqrt, the one PSD square-root rule, clips eigenvalues above
-# -PSD_TOL_FACTOR * max(1, ||H||_F) to zero; anything lower is a hard PSD violation.
-# general_reverse_test cuts the kernel of K = TA at the same level relative to max(1, ||K||).
+# Every cut the package makes, one line of reason each; zero_roundoff is the one zero rule.
+# eigh leaves up to 1.0 n eps max of round-off in a rank-deficient state's stored kernel: twice that is 0
+ZERO_ROUNDOFF_FACTOR = 2.0
+# non-PSD below -this * max(1, ||H||_F) for matrix_sqrt, below -this for a directly built DensityMatrix;
+# general_reverse_test reads K = TA's kernel at the same level relative to max(1, ||K||)
 PSD_TOL_FACTOR = 1e-10
 # geometric_mean's A and sample_contraction's T are singular iff lambda_min <= this * max(1, lambda_max)
 STRICT_POS_FACTOR = 1e-12
+# conditioning, not rank: a state is too close to singular to invert iff lambda_min <= this
+FULL_RANK_MIN_EIG = 1e-10
+# make_density_stack repairs a trace off by this much and clips eigenvalues down to -this
+TRACE_TOL = EIG_TOL = 1e-8
+# a reverse-test letter whose weight (a remainder eigenvalue or 1 - a^2) is at most this is dropped
+LETTER_MIN_WEIGHT = 1e-12
+# a reverse-test column whose longer amplitude is at most this prepares nothing and is dropped
+DROP_COLUMN_NORM = 1e-12
+# _segment_lengths reads a node of a factor path as outside the positive cone iff lambda_min <= this
+CONE_MIN_EIG = 1e-13
+# a reverse test this close to fidelity 1 is an equal pair: its geodesic stands still
+EQUAL_PAIR_FIDELITY = 1.0 - 1e-12
+
+
+def zero_roundoff(x: np.ndarray) -> np.ndarray:
+    """x, nonnegative, with each entry that counts as 0 set to 0: x <= ZERO_ROUNDOFF_FACTOR n eps max(x)."""
+    return np.where(x > ZERO_ROUNDOFF_FACTOR * len(x) * np.finfo(float).eps * x.max(), x, 0.0)
 
 
 def require_finite(a: np.ndarray, what: str) -> None:

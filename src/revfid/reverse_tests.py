@@ -15,11 +15,19 @@ import numpy as np
 
 from .divergences import _minimal_test, classical_fidelity, f_min_pure, t_spectrum, uhlmann_fidelity
 from .errors import DomainError, ValidationError
-from .linalg import PSD_TOL_FACTOR, STRICT_POS_FACTOR, HermitianMatrix, hermitian_part, require_finite, trace_norm
+from .linalg import (
+    DROP_COLUMN_NORM,
+    LETTER_MIN_WEIGHT,
+    PSD_TOL_FACTOR,
+    STRICT_POS_FACTOR,
+    HermitianMatrix,
+    hermitian_part,
+    require_finite,
+    trace_norm,
+)
 from .states import DensityMatrix, ProbDist, PureState, _check_dims, make_density, rng_for
 
 COLUMN_NORM_TOL = 1e-9
-DROP_COLUMN_NORM = 1e-12
 
 
 @dataclass(frozen=True)
@@ -154,7 +162,8 @@ def general_reverse_test(rho: DensityMatrix, sigma: DensityMatrix, a: np.ndarray
 
     sr = rho.sqrt()
     gap = (1.0 - sv) * (1.0 + sv)
-    rho_amp = np.hstack([sr @ a.conj().T @ psi, sr @ qh.conj().T * np.sqrt(np.where(gap > 1e-12, gap, 0.0))])
+    gap = np.where(gap > LETTER_MIN_WEIGHT, gap, 0.0)
+    rho_amp = np.hstack([sr @ a.conj().T @ psi, sr @ qh.conj().T * np.sqrt(gap)])
     sigma_amp = np.zeros_like(rho_amp)
     sigma_amp[:, : len(s)] = sr @ (v * np.sqrt(w)) @ yh.conj().T * s
     p, q = (np.linalg.norm(x, axis=0) ** 2 for x in (rho_amp, sigma_amp))
@@ -174,16 +183,12 @@ def pure_target_reverse_test(rho: DensityMatrix, phi: PureState) -> ReverseTest:
     """
     c = f_min_pure(rho, phi) ** 2
     remainder = rho.mat - c * np.outer(phi.amplitudes, phi.amplitudes.conj())
-    w, v = np.linalg.eigh(0.5 * (remainder + remainder.conj().T))
-    cols = [phi.amplitudes]
-    p = [c]
-    for i in range(len(w)):
-        if w[i] > 1e-12:
-            cols.append(v[:, i])
-            p.append(float(w[i]))
+    w, v = np.linalg.eigh(hermitian_part(remainder))
+    keep = w > LETTER_MIN_WEIGHT
+    p = np.concatenate([[c], w[keep]])
     q = np.zeros(len(p))
     q[0] = 1.0
-    return ReverseTest(prep=np.column_stack(cols), p=ProbDist(np.array(p)), q=ProbDist(q))
+    return ReverseTest(prep=np.column_stack([phi.amplitudes, v[:, keep]]), p=ProbDist(p), q=ProbDist(q))
 
 
 def mixture_reverse_test(

@@ -17,6 +17,10 @@ import numpy as np
 
 from .errors import DimensionMismatchError, SingularStateError, ValidationError
 from .linalg import (
+    EIG_TOL,
+    FULL_RANK_MIN_EIG,
+    PSD_TOL_FACTOR,
+    TRACE_TOL,
     HermitianMatrix,
     SpectralDecomposition,
     _as_square_complex,
@@ -24,10 +28,6 @@ from .linalg import (
     require_finite,
     trace_norm,
 )
-
-TRACE_TOL = 1e-8
-EIG_TOL = 1e-8
-FULL_RANK_MIN_EIG = 1e-10
 
 
 def require_integer(name: str, value, least: int | None, what: str = "an integer") -> None:
@@ -48,7 +48,7 @@ def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
 @dataclass(frozen=True)
 class DensityMatrix:
     """Unit-trace PSD Hermitian matrix, with the read-only eigendecomposition
-    (eigenvalues ascending) that validation computes as ``spectrum``."""
+    (eigenvalues ascending, clipped at 0) that validation computes as ``spectrum``."""
 
     matrix: HermitianMatrix
     spectrum: SpectralDecomposition = field(init=False, repr=False, compare=False)
@@ -59,8 +59,9 @@ class DensityMatrix:
         if abs(tr - 1.0) > 1e-10:
             raise ValidationError(f"density matrix trace {tr} deviates from 1")
         w, v = np.linalg.eigh(m)
-        if w[0] < -1e-10:
+        if w[0] < -PSD_TOL_FACTOR:
             raise ValidationError("density matrix is not PSD within tolerance")
+        w = np.clip(w, 0.0, None)
         w.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "spectrum", SpectralDecomposition(eigenvalues=w, frame=v))
@@ -85,7 +86,7 @@ class DensityMatrix:
 
     def sqrt(self) -> np.ndarray:
         """Principal square root from the stored spectrum, as a plain array."""
-        return self.spectrum.function(np.sqrt(np.clip(self.spectrum.eigenvalues, 0.0, None)))
+        return self.spectrum.function(np.sqrt(self.spectrum.eigenvalues))
 
 
 @dataclass(frozen=True)
@@ -205,8 +206,8 @@ def make_density_stack(
     """Validate and normalize an (n, d, d) stack of states into DensityMatrix
     objects, and a matching stack of velocities into ``HermitianMatrix``, in one pass.
 
-    Symmetrizes, clips eigenvalues in [-1e-8, 0) to zero, renormalizes a
-    trace within 1e-8 of one; anything worse is rejected with diagnostics,
+    Symmetrizes, clips eigenvalues in [-EIG_TOL, 0) to zero, renormalizes a
+    trace within TRACE_TOL of one; anything worse is rejected with diagnostics,
     the error a loop over the indices would raise first: state i, then
     velocity i, before index i + 1.  One eigh serves the whole stack, and each
     state's ``spectrum`` is the clipped, renormalized eigensystem it is rebuilt from.
@@ -242,14 +243,22 @@ def make_density_stack(
         note(~np.isfinite(v).all(axis=(1, 2)), lambda i: ValidationError("matrix has non-finite entries"))
     if error is not None:
         raise error
+    rhos = _rebuilt(w, frame)
+    if v is None:
+        return rhos, None
+    v.setflags(write=False)
+    return rhos, tuple(_prechecked(HermitianMatrix, entries=m) for m in v)
 
-    # w >= 0 and sums to 1, so each rebuilt state is unit-trace and PSD to rounding
+
+def _rebuilt(w: np.ndarray, frame: np.ndarray) -> tuple[DensityMatrix, ...]:
+    """States rebuilt from (n, d) ascending eigenvalues and their (n, d, d) frames, which they keep
+    as ``spectrum``: w is clipped at 0 and renormalized, so each is unit-trace and PSD to rounding."""
     w = np.clip(w, 0.0, None)
     w = w / w.sum(axis=1, keepdims=True)
     out = hermitian_part((frame * w[:, None, :]) @ frame.conj().swapaxes(1, 2))
     for a in (out, w, frame):
         a.setflags(write=False)  # the per-state views below inherit this
-    rhos = tuple(
+    return tuple(
         _prechecked(
             DensityMatrix,
             matrix=_prechecked(HermitianMatrix, entries=m),
@@ -257,10 +266,6 @@ def make_density_stack(
         )
         for m, w_i, v_i in zip(out, w, frame)
     )
-    if v is None:
-        return rhos, None
-    v.setflags(write=False)
-    return rhos, tuple(_prechecked(HermitianMatrix, entries=m) for m in v)
 
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -326,14 +331,12 @@ def measure(effects: Sequence, rho: DensityMatrix) -> ProbDist:
     mats = [e.entries if isinstance(e, HermitianMatrix) else np.asarray(e, dtype=complex) for e in effects]
     if any(m.shape != (rho.dim, rho.dim) for m in mats):
         raise DimensionMismatchError("effect dimensions do not match the state")
-    total = sum(mats)
-    if np.linalg.norm(total - np.eye(rho.dim)) > 1e-8:
+    if np.linalg.norm(sum(mats) - np.eye(rho.dim)) > 1e-8:
         raise ValidationError("effects do not sum to the identity (incomplete POVM)")
-    for m in mats:
-        if np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] < -1e-9:
-            raise ValidationError("effect is not PSD")
-    w = np.array([float(np.trace(m @ rho.mat).real) for m in mats])
-    return ProbDist(np.clip(w, 0.0, None))
+    mats = np.stack(mats)
+    if np.linalg.eigvalsh(hermitian_part(mats))[:, 0].min() < -1e-9:
+        raise ValidationError("effect is not PSD")
+    return ProbDist(np.clip(np.einsum("xij,ji->x", mats, rho.mat).real, 0.0, None))
 
 
 def basis_measurement(frame: np.ndarray) -> list[np.ndarray]:
@@ -343,7 +346,10 @@ def basis_measurement(frame: np.ndarray) -> list[np.ndarray]:
 
 
 def tensor(rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:
-    return make_density(np.kron(rho.mat, sigma.mat))
+    """rho (x) sigma from the sorted Kronecker product of the stored spectra, with no decomposition."""
+    w = np.kron(rho.spectrum.eigenvalues, sigma.spectrum.eigenvalues)
+    order = np.argsort(w)
+    return _rebuilt(w[None, order], np.kron(rho.spectrum.frame, sigma.spectrum.frame)[None, :, order])[0]
 
 
 def random_tangent(dim: int, seed: int) -> tuple[DensityMatrix, HermitianMatrix]:

@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from revfid.divergences import (
     OperatorMonotoneSpec,
@@ -88,6 +88,7 @@ def test_monotone_under_channels(seed, dim):
 
 @SETTINGS
 @given(seeds)
+@example(931469)  # sigma (x) sigma has the genuine eigenvalue 9.4e-15, which a relative 1e-14 cut dropped
 def test_fmin_multiplicative_under_tensor(seed):
     rho, sigma = pair(2, seed)
     single = f_min(rho, sigma)

@@ -328,20 +328,20 @@ def _trajectory(rho, sigma, n):
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, expected",
     [
-        lambda rho, sigma: f_min(rho, sigma),
-        lambda rho, sigma: minimal_reverse_test(rho, sigma),
-        lambda rho, sigma: t_operator(rho, sigma),
-        lambda rho, sigma: f_f_min(rho, sigma, OperatorMonotoneSpec.power(0.25)),
-        lambda rho, sigma: delta_max_bounds(rho, sigma),
-        lambda rho, sigma: uhlmann_fidelity(rho, sigma),
-        lambda rho, sigma: reverse_relative_entropy(rho, sigma),
-        lambda rho, sigma: f_min_via_geomean(rho, sigma),
-        lambda rho, sigma: make_density(rho.mat),
-        lambda rho, sigma: make_density_stack(*_trajectory(rho, sigma, 501)),
-        lambda rho, sigma: apply_channel(random_channel(3, 3, 2, 5), rho),
-        lambda rho, sigma: tensor(rho, sigma),
+        (lambda rho, sigma: f_min(rho, sigma), 1),
+        (lambda rho, sigma: minimal_reverse_test(rho, sigma), 1),
+        (lambda rho, sigma: t_operator(rho, sigma), 1),
+        (lambda rho, sigma: f_f_min(rho, sigma, OperatorMonotoneSpec.power(0.25)), 1),
+        (lambda rho, sigma: delta_max_bounds(rho, sigma), 1),
+        (lambda rho, sigma: uhlmann_fidelity(rho, sigma), 1),
+        (lambda rho, sigma: reverse_relative_entropy(rho, sigma), 1),
+        (lambda rho, sigma: f_min_via_geomean(rho, sigma), 1),
+        (lambda rho, sigma: make_density(rho.mat), 1),
+        (lambda rho, sigma: make_density_stack(*_trajectory(rho, sigma, 501)), 1),
+        (lambda rho, sigma: apply_channel(random_channel(3, 3, 2, 5), rho), 1),
+        (lambda rho, sigma: tensor(rho, sigma), 0),  # the Kronecker product of the stored spectra
     ],
     ids=[
         "f_min",
@@ -358,12 +358,12 @@ def _trajectory(rho, sigma, n):
         "tensor",
     ],
 )
-def test_one_decomposition_per_call_on_validated_pair(call, decompositions):
+def test_one_decomposition_per_call_on_validated_pair(call, expected, decompositions):
     rho = random_density(3, 3, 1)
     sigma = random_density(3, 3, 2)
     decompositions.update(eigh=0, eigvalsh=0)  # the states' own validation is done
     call(rho, sigma)
-    assert _decompositions(decompositions) == 1
+    assert _decompositions(decompositions) == expected
     assert decompositions["inv"] == 0
 
 

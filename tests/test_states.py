@@ -180,6 +180,17 @@ def test_measure_rejects_incomplete_povm():
         measure([np.eye(2) * 0.5], random_density(2, 2, 1))
 
 
+def test_measure_rejects_a_non_psd_effect_after_psd_ones():
+    # complete POVMs whose first effect is PSD: every effect is checked, not only the first
+    rho = random_density(2, 2, 1)
+    for effects in (
+        [0.5 * np.eye(2), np.diag([0.7, -0.2]), np.diag([-0.2, 0.7])],
+        [0.6 * np.eye(2), 0.6 * np.eye(2), -0.2 * np.eye(2)],
+    ):
+        with pytest.raises(ValidationError, match="effect is not PSD"):
+            measure(effects, rho)
+
+
 def test_tensor_of_pure_is_pure():
     a = random_pure(2, 1).projector()
     b = random_pure(2, 2).projector()
@@ -369,6 +380,7 @@ def test_density_matrix_keeps_validated_spectrum():
         _assert_is_stored_spectrum(DensityMatrix(HermitianMatrix(m / np.trace(m).real)))
         _assert_is_stored_spectrum(make_density(m / np.trace(m).real))
         _assert_is_stored_spectrum(random_density(dim, dim, seed))
+        _assert_is_stored_spectrum(tensor(random_density(dim, dim, seed), random_density(2, 2, seed + 10)))
 
 
 def test_make_density_stack_keeps_validated_spectrum():
