@@ -16,7 +16,6 @@ from .linalg import (
     HermitianMatrix,
     SpectralDecomposition,
     geometric_mean_in_frame,
-    map_spectrum,
     trace_norm,
     zero_roundoff,
 )
@@ -146,9 +145,19 @@ class OperatorMonotoneSpec:
         return cls(kind="custom", fn=fn)
 
     def __call__(self, t: float) -> float:
+        return float(self._evaluate(np.asarray(t, dtype=float)))
+
+    def _evaluate(self, t: np.ndarray) -> np.ndarray:
+        """f at each entry of t, the power family as max(t, 0)^alpha; DomainError where f is not finite."""
         if self.kind == "power":
-            return float(max(t, 0.0) ** self.alpha)
-        return float(self.fn(t))
+            ft = np.maximum(t, 0.0) ** self.alpha
+        else:
+            with np.errstate(all="ignore"):
+                ft = np.array([self.fn(x) for x in t.flat], dtype=float).reshape(t.shape)
+        bad = ~np.isfinite(ft)
+        if bad.any():
+            raise DomainError(f"operator-monotone map is not finite at {t[bad][0]!r}")
+        return ft
 
     def _slope_at_infinity(self) -> float:
         """lim_{t->inf} f(t)/t: 1 for the power family at alpha = 1, else 0; a custom map's
@@ -172,8 +181,7 @@ def generalized_fidelity_classical(p: ProbDist, q: ProbDist, f: OperatorMonotone
 def _perspective_sum(p: np.ndarray, q: np.ndarray, f: OperatorMonotoneSpec) -> float:
     """sum_x p(x) f(q(x)/p(x)), with q(x) lim f(t)/t where p(x) = 0 < q(x)."""
     on = p > 0.0
-    ratio = q[on] / p[on]
-    total = float(p[on] @ map_spectrum(ratio, f))
+    total = float(p[on] @ f._evaluate(q[on] / p[on]))
     if (q[~on] > 0.0).any():
         total += float(q[~on].sum()) * f._slope_at_infinity()
     return total

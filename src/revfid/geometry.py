@@ -22,6 +22,7 @@ from .states import (
     DensityMatrix,
     ProbDist,
     SignedVector,
+    _ginibre,
     make_density,
     make_density_stack,
     require_integer,
@@ -533,7 +534,7 @@ def fr_estimate(
     for _ in range(iterations):
         improved = False
         for i in range(1, len(anchors) - 1):
-            direction = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            direction = _ginibre(rng, d, d)
             direction /= np.linalg.norm(direction)
             # (sign, anchor i-1..i+1) paths; only segments i-1 and i move
             paths = np.array([anchors[i - 1 : i + 2]] * 2)

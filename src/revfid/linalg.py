@@ -8,7 +8,6 @@ so floating-point drift never leaks non-Hermitian parts downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -76,9 +75,6 @@ class HermitianMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def fro_norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -113,16 +109,6 @@ def eig_hermitian(H) -> SpectralDecomposition:
     H = _hermitian(H)
     w, v = np.linalg.eigh(H.entries)
     return SpectralDecomposition(eigenvalues=w, frame=v)
-
-
-def map_spectrum(w: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
-    """f at each eigenvalue; raises DomainError where f is not finite."""
-    with np.errstate(all="ignore"):
-        fw = np.array([f(lam) for lam in w], dtype=float)
-    bad = ~np.isfinite(fw)
-    if bad.any():
-        raise DomainError(f"scalar map undefined at eigenvalue {w[bad][0]!r}")
-    return fw
 
 
 def matrix_sqrt(P) -> HermitianMatrix:

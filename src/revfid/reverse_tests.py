@@ -25,7 +25,7 @@ from .linalg import (
     require_finite,
     trace_norm,
 )
-from .states import DensityMatrix, ProbDist, PureState, _check_dims, make_density, rng_for
+from .states import DensityMatrix, ProbDist, PureState, _check_dims, _ginibre, _rebuilt, rng_for
 
 COLUMN_NORM_TOL = 1e-9
 
@@ -115,9 +115,7 @@ def sample_contraction(t: HermitianMatrix, seed: int) -> np.ndarray:
     w, v = np.linalg.eigh(t.entries)
     if w[0] <= STRICT_POS_FACTOR * max(1.0, w[-1]):
         raise DomainError("sample_contraction requires strictly positive T")
-    d = t.dim
-    rng = rng_for(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    g = _ginibre(rng_for(seed), t.dim, t.dim)
     h = g @ g.conj().T
     a = (v / w) @ (v.conj().T @ h)
     opnorm = np.linalg.norm(a, ord=2)
@@ -222,12 +220,12 @@ def hidden_pair(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[DensityMatrix
 
     T's SVD diag(w^-1/2) V†U diag(s^1/2) = L diag(t) R† gives sqrt(rho) T = U diag(s^1/2) R L† V†,
     so T rho T = F diag(s) F† with the unitary F = V L R†: sigma's eigenvalues on a new frame,
-    with no product of dense T's.  W_rho = sqrt(rho) and W_sigma = sqrt(rho) T are the paper's
-    W-factors: W_rho W_rho† = rho, W_sigma W_sigma† = sigma, W_rho W_sigma† = W_sigma W_rho† >= 0.
+    rebuilt with no product of dense T's and no decomposition beyond the SVD.  W_rho = sqrt(rho) and
+    W_sigma = sqrt(rho) T are the paper's W-factors: W_rho W_rho† = rho, W_sigma W_sigma† = sigma,
+    W_rho W_sigma† = W_sigma W_rho† >= 0.
     """
     spec, right, s = t_spectrum(rho, sigma)
-    f = spec.frame @ right
-    return rho, make_density((f * s) @ f.conj().T)
+    return rho, _rebuilt(s[None], (spec.frame @ right)[None])[0]
 
 
 def hidden_pair_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

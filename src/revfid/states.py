@@ -159,32 +159,31 @@ class SignedVector:
 
 @dataclass(frozen=True)
 class Channel:
-    """CPTP map in Kraus form."""
+    """CPTP map in Kraus form, kept as one read-only (count, d_out, d_in) stack."""
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
 
     def __post_init__(self):
-        ks = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        if not ks:
-            raise ValidationError("channel needs at least one Kraus operator")
-        shape = ks[0].shape
-        if any(k.shape != shape for k in ks):
-            raise ValidationError("Kraus operators have inconsistent shapes")
-        require_finite(np.stack(ks), "Kraus operator")
-        comp = sum(k.conj().T @ k for k in ks)
-        if np.linalg.norm(comp - np.eye(shape[1])) > 1e-8:
+        try:
+            ks = np.array(self.kraus, dtype=complex)
+        except ValueError:
+            raise ValidationError("Kraus operators have inconsistent shapes") from None
+        if ks.ndim != 3 or not len(ks):
+            raise ValidationError(f"channel needs a stack of at least one Kraus matrix, got shape {ks.shape}")
+        require_finite(ks, "Kraus operator")
+        comp = (ks.conj().swapaxes(1, 2) @ ks).sum(axis=0)
+        if np.linalg.norm(comp - np.eye(ks.shape[2])) > 1e-8:
             raise ValidationError("Kraus operators do not satisfy completeness")
-        for k in ks:
-            k.setflags(write=False)
+        ks.setflags(write=False)
         object.__setattr__(self, "kraus", ks)
 
     @property
     def dim_in(self) -> int:
-        return self.kraus[0].shape[1]
+        return self.kraus.shape[2]
 
     @property
     def dim_out(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
 
 
 def make_density(entries) -> DensityMatrix:
@@ -290,7 +289,7 @@ def random_pure(dim: int, seed: int) -> PureState:
 
 
 def random_channel(dim_in: int, dim_out: int, kraus_count: int, seed: int) -> Channel:
-    """Random CPTP map: QR isometry into dim_out x kraus_count, sliced."""
+    """Random CPTP map: QR isometry into dim_out x kraus_count, reshaped into the Kraus stack."""
     for name, value in (("dim_in", dim_in), ("dim_out", dim_out), ("kraus_count", kraus_count)):
         require_integer(name, value, 1)
     if dim_out * kraus_count < dim_in:
@@ -299,31 +298,26 @@ def random_channel(dim_in: int, dim_out: int, kraus_count: int, seed: int) -> Ch
     q, r = np.linalg.qr(g)
     # fix the phase convention so the isometry is a pure function of the seed
     q = q * np.sign(np.diag(r).real)
-    kraus = [q[i * dim_out : (i + 1) * dim_out, :] for i in range(kraus_count)]
-    return Channel(tuple(kraus))
+    return Channel(q.reshape(kraus_count, dim_out, dim_in))
 
 
 def apply_channel(lam: Channel, rho: DensityMatrix) -> DensityMatrix:
     if lam.dim_in != rho.dim:
         raise DimensionMismatchError(f"channel input dim {lam.dim_in} != state dim {rho.dim}")
-    out = sum(k @ rho.mat @ k.conj().T for k in lam.kraus)
-    return make_density(out)
+    return make_density((lam.kraus @ rho.mat @ lam.kraus.conj().swapaxes(1, 2)).sum(axis=0))
 
 
 def preparation_channel(columns: np.ndarray) -> Channel:
-    """Channel sending the x-th basis distribution to the pure state in column x."""
+    """Channel sending the x-th basis distribution to the pure state in column x: Kraus x is n e_x^T."""
     n = np.asarray(columns, dtype=complex)
-    dim, m = n.shape
-    kraus = []
-    for x in range(m):
-        k = np.zeros((dim, m), dtype=complex)
-        k[:, x] = n[:, x]
-        kraus.append(k)
-    return Channel(tuple(kraus))
+    m = n.shape[1]
+    return Channel(np.where(np.eye(m, dtype=bool)[:, None, :], n.T[:, :, None], 0.0))
 
 
 def embed_classical(p: ProbDist) -> DensityMatrix:
-    return DensityMatrix(HermitianMatrix(np.diag(p.weights.astype(complex))))
+    """diag(p), rebuilt from p sorted stably on the same permutation of the standard basis, with no decomposition."""
+    order = np.argsort(p.weights, kind="stable")
+    return _rebuilt(p.weights[None, order], np.eye(p.size, dtype=complex)[None, :, order])[0]
 
 
 def measure(effects: Sequence, rho: DensityMatrix) -> ProbDist:
@@ -331,9 +325,10 @@ def measure(effects: Sequence, rho: DensityMatrix) -> ProbDist:
     mats = [e.entries if isinstance(e, HermitianMatrix) else np.asarray(e, dtype=complex) for e in effects]
     if any(m.shape != (rho.dim, rho.dim) for m in mats):
         raise DimensionMismatchError("effect dimensions do not match the state")
-    if np.linalg.norm(sum(mats) - np.eye(rho.dim)) > 1e-8:
+    mats = np.array(mats, dtype=complex).reshape(-1, rho.dim, rho.dim)
+    require_finite(mats, "effect")
+    if np.linalg.norm(mats.sum(axis=0) - np.eye(rho.dim)) > 1e-8:
         raise ValidationError("effects do not sum to the identity (incomplete POVM)")
-    mats = np.stack(mats)
     if np.linalg.eigvalsh(hermitian_part(mats))[:, 0].min() < -1e-9:
         raise ValidationError("effect is not PSD")
     return ProbDist(np.clip(np.einsum("xij,ji->x", mats, rho.mat).real, 0.0, None))
@@ -360,7 +355,7 @@ def random_tangent(dim: int, seed: int) -> tuple[DensityMatrix, HermitianMatrix]
     """
     rho = random_density(dim, dim, seed)
     g = _ginibre(rng_for(seed, stream=1), dim, dim)
-    v = 0.5 * (g + g.conj().T)
+    v = hermitian_part(g)
     v = v - np.trace(v).real * np.eye(dim) / dim
     norm = np.linalg.norm(v)
     if norm > 0:

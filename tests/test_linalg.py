@@ -8,7 +8,6 @@ from revfid.linalg import (
     HermitianMatrix,
     eig_hermitian,
     geometric_mean,
-    map_spectrum,
     matrix_sqrt,
     trace_norm,
 )
@@ -52,7 +51,7 @@ def test_eig_reconstruct():
 
 def test_map_spectrum_rejects_nonfinite_image():
     with pytest.raises(DomainError):
-        map_spectrum(np.array([-1.0, 1.0]), np.sqrt)
+        OperatorMonotoneSpec.custom(np.sqrt)._evaluate(np.array([-1.0, 1.0]))
 
 
 def test_matrix_sqrt_rejects_negative():

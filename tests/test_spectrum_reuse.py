@@ -49,8 +49,10 @@ from revfid.reverse_tests import (
 )
 from revfid.states import (
     DensityMatrix,
+    ProbDist,
     PureState,
     apply_channel,
+    embed_classical,
     make_density,
     make_density_stack,
     random_channel,
@@ -342,6 +344,8 @@ def _trajectory(rho, sigma, n):
         (lambda rho, sigma: make_density_stack(*_trajectory(rho, sigma, 501)), 1),
         (lambda rho, sigma: apply_channel(random_channel(3, 3, 2, 5), rho), 1),
         (lambda rho, sigma: tensor(rho, sigma), 0),  # the Kronecker product of the stored spectra
+        (lambda rho, sigma: hidden_pair(rho, sigma), 1),  # T's SVD; sigma's spectrum on a new frame
+        (lambda rho, sigma: embed_classical(ProbDist(np.diag(rho.mat).real)), 0),  # p on a permuted basis
     ],
     ids=[
         "f_min",
@@ -356,6 +360,8 @@ def _trajectory(rho, sigma, n):
         "make_density_stack",
         "apply_channel",
         "tensor",
+        "hidden_pair",
+        "embed_classical",
     ],
 )
 def test_one_decomposition_per_call_on_validated_pair(call, expected, decompositions):
@@ -422,13 +428,13 @@ def test_general_reverse_test_decomposes_ta_once(decompositions):
 
 
 def test_hidden_pair_reads_t_from_one_svd(decompositions):
-    # T rho T is sigma's spectrum on the frame V L R† of T's SVD; only the
-    # returned state's validation decomposes it again
+    # T rho T is sigma's spectrum on the frame V L R† of T's SVD, rebuilt
+    # from that spectrum with no further decomposition
     rho = random_density(3, 3, 1)
     sigma = random_density(3, 3, 2)
     decompositions.update(eigh=0, eigvalsh=0)
     hidden_pair(rho, sigma)
-    assert decompositions == {"eigh": 1, "eigvalsh": 0, "svd": 1, "inv": 0, "solve": 0}
+    assert decompositions == {"eigh": 0, "eigvalsh": 0, "svd": 1, "inv": 0, "solve": 0}
 
 
 def test_sample_contraction_inverts_t_from_its_eigh(decompositions):

@@ -3,7 +3,7 @@ import pytest
 
 from revfid.errors import DimensionMismatchError, ValidationError
 from revfid.linalg import HermitianMatrix
-from revfid.reverse_tests import ReverseTest
+from revfid.reverse_tests import ReverseTest, hidden_pair
 from revfid.states import (
     EIG_TOL,
     TRACE_TOL,
@@ -162,6 +162,7 @@ def test_state_distance_dim_mismatch():
 def test_preparation_channel_prepares_columns():
     cols = np.column_stack([np.array([1.0, 0.0]), np.array([1.0, 1.0]) / np.sqrt(2)])
     lam = preparation_channel(cols)
+    assert isinstance(lam.kraus, np.ndarray) and lam.kraus.shape == (2, 2, 2) and not lam.kraus.flags.writeable
     p = embed_classical(ProbDist(np.array([0.3, 0.7])))
     out = apply_channel(lam, p)
     expect = 0.3 * np.outer(cols[:, 0], cols[:, 0]) + 0.7 * np.outer(cols[:, 1], cols[:, 1])
@@ -176,8 +177,9 @@ def test_measure_x_basis_on_zero():
 
 
 def test_measure_rejects_incomplete_povm():
-    with pytest.raises(ValidationError):
-        measure([np.eye(2) * 0.5], random_density(2, 2, 1))
+    for effects in ([np.eye(2) * 0.5], []):
+        with pytest.raises(ValidationError, match="incomplete POVM"):
+            measure(effects, random_density(2, 2, 1))
 
 
 def test_measure_rejects_a_non_psd_effect_after_psd_ones():
@@ -351,6 +353,13 @@ def test_validators_reject_non_finite(build):
         build()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_measure_names_non_finite_effects(bad):
+    # NaN passed the completeness and PSD checks and failed later in ProbDist; inf read as an incomplete POVM
+    with pytest.raises(ValidationError, match="^effect has non-finite entries$"):
+        measure([np.diag([bad, 0.5]), 0.5 * np.eye(2)], random_density(2, 2, 1))
+
+
 def test_make_density_stack_rejects_bad_shapes():
     states, vels = _stack_inputs()
     with pytest.raises(DimensionMismatchError):
@@ -381,6 +390,8 @@ def test_density_matrix_keeps_validated_spectrum():
         _assert_is_stored_spectrum(make_density(m / np.trace(m).real))
         _assert_is_stored_spectrum(random_density(dim, dim, seed))
         _assert_is_stored_spectrum(tensor(random_density(dim, dim, seed), random_density(2, 2, seed + 10)))
+        _assert_is_stored_spectrum(hidden_pair(random_density(dim, dim, seed), random_density(dim, dim, seed + 20))[1])
+        _assert_is_stored_spectrum(embed_classical(ProbDist(random_density(dim, dim, seed + 30).mat.diagonal().real)))
 
 
 def test_make_density_stack_keeps_validated_spectrum():
