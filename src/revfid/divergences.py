@@ -14,14 +14,13 @@ import numpy as np
 from .errors import DimensionMismatchError, DomainError, ValidationError
 from .linalg import (
     HermitianMatrix,
-    SpectralDecomposition,
     geometric_mean_in_frame,
     trace_norm,
     zero_roundoff,
 )
 from .states import FULL_RANK_MIN_EIG, DensityMatrix, ProbDist, PureState, _check_dims
 
-_SINGULAR = "{} is singular (min eigenvalue {{lam:.3e}}); use the pure-target closed form or regularize explicitly"
+_SINGULAR = " is singular (min eigenvalue {lam:.3e}); use the pure-target closed form or regularize explicitly"
 
 
 def _check_sizes(p: ProbDist, q: ProbDist) -> None:
@@ -44,56 +43,54 @@ def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(min(np.sum(np.linalg.svd(m, compute_uv=False)), 1.0))
 
 
-def t_spectrum(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[SpectralDecomposition, np.ndarray, np.ndarray]:
-    """Eigensystem of T = sqrt(rho^-1/2 sigma rho^-1/2), ascending, with R† and s: for the stored spectra
-    rho = V diag(w) V†, sigma = U diag(s) U†, the SVD diag(w^-1/2) V†U diag(s^1/2) = L diag(t) R† gives t and
-    the frame V L, and sqrt(rho) T = U diag(s^1/2) R L† V†; s (sigma's kernel) and t pass through
-    the one zero rule, linalg.zero_roundoff."""
+def _base(rho: DensityMatrix, sigma: DensityMatrix, either: bool) -> tuple[DensityMatrix, DensityMatrix, bool]:
+    """(B, other, B is sigma) after the one check pass, dims and B's full rank, for the base B = rho or, with
+    ``either``, the state with the larger least eigenvalue (rho on a tie): B^-1/2 routes err like 1/lambda_min(B)."""
     _check_dims(rho, sigma)
-    rho.require_full_rank(_SINGULAR.format("rho"))
-    w, v = rho.spectrum.eigenvalues, rho.spectrum.frame
-    s, u = zero_roundoff(sigma.spectrum.eigenvalues), sigma.spectrum.frame
-    left, t, right = np.linalg.svd((v.conj().T @ u) * np.sqrt(s) / np.sqrt(w)[:, None])
-    t = zero_roundoff(t)
-    return SpectralDecomposition(eigenvalues=t[::-1], frame=(v @ left)[:, ::-1]), right[::-1], s
-
-
-def _t_base(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix, bool]:
-    """(B, other, B is sigma): the base B of rho # sigma = sigma # rho is the full-rank
-    state with the larger least eigenvalue, rho on a tie; its error grows like 1/lambda_min(B)."""
-    _check_dims(rho, sigma)
-    swapped = sigma.min_eigenvalue() > rho.min_eigenvalue()
+    swapped = either and sigma.spectrum.eigenvalues[0] > rho.spectrum.eigenvalues[0]
     base, other = (sigma, rho) if swapped else (rho, sigma)
-    base.require_full_rank(_SINGULAR.format("sigma" if swapped else "rho"))
+    base.require_full_rank(("sigma" if swapped else "rho") + _SINGULAR)  # formatted only if it raises
     return base, other, swapped
 
 
+def t_spectrum(rho: DensityMatrix, sigma: DensityMatrix, either: bool = False) -> tuple:
+    """T = sqrt(B^-1/2 O B^-1/2) on the base B of ``_base`` as the raw factors of one SVD, (t, L, R†, s,
+    B is sigma): for the stored spectra B = V diag(w) V† and O = U diag(s) U†, diag(w^-1/2) V†U diag(s^1/2)
+    = L diag(t) R† with t descending, so T = VL diag(t) (VL)† and sqrt(B) T = U diag(s^1/2) R L† V†;
+    s (O's kernel) and t pass through the one zero rule, linalg.zero_roundoff."""
+    base, other, swapped = _base(rho, sigma, either)
+    w, v = base.spectrum.eigenvalues, base.spectrum.frame
+    s = zero_roundoff(other.spectrum.eigenvalues)
+    left, t, right = np.linalg.svd((v.conj().T @ other.spectrum.frame) * np.sqrt(s / w[:, None]))
+    return zero_roundoff(t), left, right, s, swapped
+
+
 def _minimal_test(rho: DensityMatrix, sigma: DensityMatrix):
-    """(p, q, frame, B, B is sigma): the minimal reverse test's weights p for rho, q for sigma on the
-    eigenframe e_x of T = sqrt(B^-1/2 other B^-1/2), t_x ascending: B's b_x = <e_x|B|e_x>, the other's t_x^2 b_x."""
-    base, other, swapped = _t_base(rho, sigma)
-    spec, *_ = t_spectrum(base, other)
-    b = np.sum(spec.frame.conj() * (base.mat @ spec.frame), axis=0).real
-    p, q = (spec.eigenvalues**2 * b, b) if swapped else (b, spec.eigenvalues**2 * b)
-    return p, q, spec.frame, base, swapped
+    """(p, q, L, B, B is sigma): the minimal reverse test's weights p for rho, q for sigma on T's eigenframe
+    e_x = V L_x of t_spectrum, t_x descending: B's b_x = <e_x|B|e_x> = sum_i w_i |L_ix|^2, the other's t_x^2 b_x."""
+    t, left, _, _, swapped = t_spectrum(rho, sigma, either=True)
+    base = sigma if swapped else rho
+    b = base.spectrum.eigenvalues @ np.abs(left) ** 2
+    return (t * t * b, b, left, base, swapped) if swapped else (b, t * t * b, left, base, swapped)
 
 
 def t_operator(rho: DensityMatrix, sigma: DensityMatrix) -> HermitianMatrix:
     """T = sqrt(rho^-1/2 sigma rho^-1/2); (sqrt(rho) T)(sqrt(rho) T)† = sigma."""
-    spec, *_ = t_spectrum(rho, sigma)
-    return HermitianMatrix(spec.function(spec.eigenvalues))
+    t, left, *_ = t_spectrum(rho, sigma)
+    frame = rho.spectrum.frame @ left
+    return HermitianMatrix((frame * t) @ frame.conj().T)
 
 
 def f_min(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Reverse-test optimal fidelity tr(rho # sigma); the smallest monotone extension."""
     p, q, *_ = _minimal_test(rho, sigma)
-    return float(min(np.sum(np.sqrt(p * q)), 1.0))
+    return min(float(np.sqrt(p * q).sum()), 1.0)
 
 
 def f_min_via_geomean(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Same quantity through the operator geometric mean tr(rho # sigma) in the base's stored
     eigenframe, an independent route: an eigh of Z = diag(w^-1/2) V† other V diag(w^-1/2), not T's SVD."""
-    base, other, _ = _t_base(rho, sigma)
+    base, other, _ = _base(rho, sigma, either=True)
     g = geometric_mean_in_frame(base.spectrum, other.mat)
     return float(min(max(np.trace(g).real, 0.0), 1.0))
 
@@ -210,9 +207,8 @@ def quasi_entropy_comparison(
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
-    _check_dims(rho, sigma)
-    rho.require_full_rank(_SINGULAR.format("rho"))
-    sigma.require_full_rank(_SINGULAR.format("sigma"))
+    _base(rho, sigma, either=False)
+    sigma.require_full_rank("sigma" + _SINGULAR)
     w, s = rho.spectrum.eigenvalues, sigma.spectrum.eigenvalues
     overlap = np.abs(rho.spectrum.frame.conj().T @ sigma.spectrum.frame) ** 2
     s_alpha = 1.0 - float(w ** (1.0 - alpha) @ overlap @ s**alpha)
@@ -275,7 +271,7 @@ def delta_max_bounds(rho: DensityMatrix, sigma: DensityMatrix) -> DeltaMaxBounds
     """Sandwich 1 - F_min <= Delta_max <= sqrt(1 - F_min^2), plus the
     sharper measurement bound Delta(M(rho), M(T rho T)) in the T eigenbasis."""
     p, q, *_ = _minimal_test(rho, sigma)
-    fmin = float(min(np.sum(np.sqrt(p * q)), 1.0))
+    fmin = min(float(np.sqrt(p * q).sum()), 1.0)
     return DeltaMaxBounds(
         lower=1.0 - fmin,
         upper=math.sqrt(max(1.0 - fmin * fmin, 0.0)),

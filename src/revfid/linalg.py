@@ -25,6 +25,8 @@ STRICT_POS_FACTOR = 1e-12
 FULL_RANK_MIN_EIG = 1e-10
 # make_density_stack repairs a trace off by this much and clips eigenvalues down to -this
 TRACE_TOL = EIG_TOL = 1e-8
+# measure keeps Re tr(E rho), dropping at most ||E - E†||_F / 2: an effect further than this from E† is rejected
+HERMITIAN_TOL = 1e-10
 # a reverse-test letter whose weight (a remainder eigenvalue or 1 - a^2) is at most this is dropped
 LETTER_MIN_WEIGHT = 1e-12
 # a reverse-test column whose longer amplitude is at most this prepares nothing and is dropped
@@ -36,8 +38,10 @@ EQUAL_PAIR_FIDELITY = 1.0 - 1e-12
 
 
 def zero_roundoff(x: np.ndarray) -> np.ndarray:
-    """x, nonnegative, with each entry that counts as 0 set to 0: x <= ZERO_ROUNDOFF_FACTOR n eps max(x)."""
-    return np.where(x > ZERO_ROUNDOFF_FACTOR * len(x) * np.finfo(float).eps * x.max(), x, 0.0)
+    """x (nonnegative, sorted either way) with each entry <= ZERO_ROUNDOFF_FACTOR n eps max(x) set to 0."""
+    low, high = sorted((x[0], x[-1]))
+    cut = ZERO_ROUNDOFF_FACTOR * 2.0**-52 * len(x) * high  # float64 eps
+    return x if low > cut else np.where(x > cut, x, 0.0)
 
 
 def require_finite(a: np.ndarray, what: str) -> None:
@@ -114,14 +118,17 @@ def eig_hermitian(H) -> SpectralDecomposition:
 def matrix_sqrt(P) -> HermitianMatrix:
     """Principal square root of a PSD matrix, the one PSD square-root rule: NotPsdError below
     -PSD_TOL_FACTOR * max(1, ||P||_F), else the root of the eigenvalues clipped to zero."""
-    a = _hermitian(P).entries
+    return HermitianMatrix(_psd_sqrt(_hermitian(P).entries))
+
+
+def _psd_sqrt(a: np.ndarray) -> np.ndarray:
+    """matrix_sqrt of a finite Hermitian array, as a plain Hermitian array."""
     w, v = np.linalg.eigh(a)
     tol = PSD_TOL_FACTOR * max(1.0, float(np.linalg.norm(a)))
     if w[0] < -tol:
         report = PsdReport(False, float(w[0]), tol)
         raise NotPsdError(f"matrix is not PSD: min eigenvalue {w[0]:.3e} < -{tol:.3e}", report=report)
-    root = np.sqrt(np.clip(w, 0.0, None))
-    return HermitianMatrix(SpectralDecomposition(eigenvalues=w, frame=v).function(root))
+    return SpectralDecomposition(eigenvalues=w, frame=v).function(np.sqrt(np.clip(w, 0.0, None)))
 
 
 def geometric_mean(A, B) -> HermitianMatrix:
@@ -143,7 +150,7 @@ def geometric_mean_in_frame(a: SpectralDecomposition, b: np.ndarray) -> np.ndarr
     """A # B as a plain array, not symmetrized, in the eigenframe of A = V diag(w) V† (w > 0):
     V diag(w^1/2) Z^1/2 diag(w^1/2) V† with Z = diag(w^-1/2) V†BV diag(w^-1/2); no root of A is inverted."""
     rw, v = np.sqrt(a.eigenvalues), a.frame
-    root_z = matrix_sqrt((v.conj().T @ b @ v) / np.outer(rw, rw)).entries
+    root_z = _psd_sqrt(hermitian_part((v.conj().T @ b @ v) / np.outer(rw, rw)))
     return v @ (rw[:, None] * root_z * rw) @ v.conj().T
 
 

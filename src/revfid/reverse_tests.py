@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import _minimal_test, classical_fidelity, f_min_pure, t_spectrum, uhlmann_fidelity
+from .divergences import _minimal_test, classical_fidelity, f_min_pure, t_operator, t_spectrum, uhlmann_fidelity
 from .errors import DomainError, ValidationError
 from .linalg import (
     DROP_COLUMN_NORM,
@@ -23,7 +23,6 @@ from .linalg import (
     HermitianMatrix,
     hermitian_part,
     require_finite,
-    trace_norm,
 )
 from .states import DensityMatrix, ProbDist, PureState, _check_dims, _ginibre, _rebuilt, rng_for
 
@@ -81,12 +80,12 @@ class VerificationReport:
 def verify_reverse_test(
     rt: ReverseTest, rho: DensityMatrix, sigma: DensityMatrix, tol: float = 1e-7
 ) -> VerificationReport:
-    """Trace-norm residuals of the preparation identities."""
+    """Trace-norm residuals of the preparation identities, both from one SVD call (finite operands)."""
     _check_dims(rt, rho)
     _check_dims(rt, sigma)
     prep_rho, prep_sigma = rt.prepared_pair()
-    r_res = trace_norm(prep_rho - rho.mat)
-    s_res = trace_norm(prep_sigma - sigma.mat)
+    residuals = np.stack([prep_rho - rho.mat, prep_sigma - sigma.mat])
+    r_res, s_res = (float(x) for x in np.linalg.svd(residuals, compute_uv=False).sum(axis=1))
     return VerificationReport(
         rho_residual=r_res,
         sigma_residual=s_res,
@@ -97,15 +96,12 @@ def verify_reverse_test(
 
 
 def minimal_reverse_test(rho: DensityMatrix, sigma: DensityMatrix) -> ReverseTest:
-    """Optimal reverse test on an alphabet of size dim.
-
-    The (p, q) that f_min reads, prepared with the normalized columns of sqrt(B) V for
-    T's eigenframe V on the base B, in ascending sqrt(q/p).  Its classical fidelity is f_min.
-    """
-    p, q, frame, base, swapped = _minimal_test(rho, sigma)
-    cols = base.sqrt() @ frame
-    prep = cols / np.linalg.norm(cols, axis=0)
-    if swapped:  # t = sqrt(p/q) ascends on the base sigma
+    """Optimal reverse test on an alphabet of size dim: the (p, q) that f_min reads, in ascending sqrt(q/p),
+    prepared with the unit columns sqrt(B) e_x / sqrt(b_x) = V (w^1/2 L_x) / sqrt(b_x) of _minimal_test's
+    eigenframe e_x = V L_x on the base B = V diag(w) V†.  Its classical fidelity is f_min."""
+    p, q, left, base, swapped = _minimal_test(rho, sigma)
+    prep = base.spectrum.frame @ (np.sqrt(base.spectrum.eigenvalues)[:, None] * left / np.sqrt(q if swapped else p))
+    if not swapped:  # sqrt(q/p) = t descends on the base rho
         prep, p, q = prep[:, ::-1], p[::-1], q[::-1]
     return ReverseTest(prep=prep, p=ProbDist(p), q=ProbDist(q))
 
@@ -135,8 +131,7 @@ def general_reverse_test(rho: DensityMatrix, sigma: DensityMatrix, a: np.ndarray
     fidelity.
     """
     d = rho.dim
-    spec, *_ = t_spectrum(rho, sigma)
-    t = spec.function(spec.eigenvalues)
+    t = t_operator(rho, sigma).entries
     a = np.asarray(a, dtype=complex)
     if a.shape != (d, d):
         raise ValidationError(f"contraction must be {d}x{d}, got {a.shape}")
@@ -218,14 +213,13 @@ def mixture_reverse_test(
 def hidden_pair(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix]:
     """States (rho, T rho T) whose Uhlmann fidelity equals F_min(rho, sigma).
 
-    T's SVD diag(w^-1/2) V†U diag(s^1/2) = L diag(t) R† gives sqrt(rho) T = U diag(s^1/2) R L† V†,
-    so T rho T = F diag(s) F† with the unitary F = V L R†: sigma's eigenvalues on a new frame,
-    rebuilt with no product of dense T's and no decomposition beyond the SVD.  W_rho = sqrt(rho) and
-    W_sigma = sqrt(rho) T are the paper's W-factors: W_rho W_rho† = rho, W_sigma W_sigma† = sigma,
-    W_rho W_sigma† = W_sigma W_rho† >= 0.
+    t_spectrum's factors give sqrt(rho) T = U diag(s^1/2) R L† V†, so T rho T = F diag(s) F† with the
+    unitary F = V L R†: sigma's eigenvalues on a new frame, rebuilt with no decomposition beyond the SVD.
+    W_rho = sqrt(rho) and W_sigma = sqrt(rho) T are the paper's W-factors: W_rho W_rho† = rho,
+    W_sigma W_sigma† = sigma, W_rho W_sigma† = W_sigma W_rho† >= 0.
     """
-    spec, right, s = t_spectrum(rho, sigma)
-    return rho, _rebuilt(s[None], (spec.frame @ right)[None])[0]
+    _, left, right, s, _ = t_spectrum(rho, sigma)
+    return rho, _rebuilt(s[None], (rho.spectrum.frame @ left @ right)[None])[0]
 
 
 def hidden_pair_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -19,6 +19,7 @@ from .errors import DimensionMismatchError, SingularStateError, ValidationError
 from .linalg import (
     EIG_TOL,
     FULL_RANK_MIN_EIG,
+    HERMITIAN_TOL,
     PSD_TOL_FACTOR,
     TRACE_TOL,
     HermitianMatrix,
@@ -124,7 +125,7 @@ class ProbDist:
         require_finite(w, "probability vector")
         if w.min(initial=0.0) < -1e-10:
             raise ValidationError(f"negative weight {w.min()} in probability vector")
-        w = np.clip(w, 0.0, None)
+        w = np.maximum(w, 0.0)
         s = w.sum()
         if abs(s - 1.0) > 1e-8:
             raise ValidationError(f"probability weights sum to {s}")
@@ -329,6 +330,8 @@ def measure(effects: Sequence, rho: DensityMatrix) -> ProbDist:
     require_finite(mats, "effect")
     if np.linalg.norm(mats.sum(axis=0) - np.eye(rho.dim)) > 1e-8:
         raise ValidationError("effects do not sum to the identity (incomplete POVM)")
+    if np.linalg.norm(mats - mats.conj().swapaxes(1, 2), axis=(1, 2)).max() > HERMITIAN_TOL:
+        raise ValidationError("effect is not Hermitian")
     if np.linalg.eigvalsh(hermitian_part(mats))[:, 0].min() < -1e-9:
         raise ValidationError("effect is not PSD")
     return ProbDist(np.clip(np.einsum("xij,ji->x", mats, rho.mat).real, 0.0, None))

@@ -1,6 +1,6 @@
 """A fresh process loads no scipy module until its first general RLD flow,
-whose stage solve imports LAPACK zheevd from scipy.linalg (about 0.27 s and
-21 MB per process). scipy.integrate would also pull in scipy.special,
+whose stage solve imports LAPACK zheevd from scipy.linalg (0.14-0.33 s and
+26 MB of RSS per process). scipy.integrate would also pull in scipy.special,
 scipy.optimize and scipy.sparse; the package carries its two quadrature rules
 itself, and nothing loads them."""
 

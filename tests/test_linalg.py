@@ -5,11 +5,13 @@ from revfid.divergences import OperatorMonotoneSpec, f_f_min
 from revfid.errors import DimensionMismatchError, DomainError, NotPsdError, ValidationError
 from revfid.linalg import (
     STRICT_POS_FACTOR,
+    ZERO_ROUNDOFF_FACTOR,
     HermitianMatrix,
     eig_hermitian,
     geometric_mean,
     matrix_sqrt,
     trace_norm,
+    zero_roundoff,
 )
 from revfid.reverse_tests import sample_contraction
 from revfid.states import random_density
@@ -136,3 +138,14 @@ def test_trace_norm_jordan_block():
 
 def test_trace_norm_hermitian_is_abs_eigenvalue_sum():
     assert trace_norm(np.diag([3.0, -4.0])) == pytest.approx(7.0)
+
+
+def test_zero_roundoff_reads_the_maximum_at_either_end():
+    # sorted ascending (stored eigenvalues) or descending (singular values): the cut is
+    # ZERO_ROUNDOFF_FACTOR n eps max(x), inclusive
+    cut = ZERO_ROUNDOFF_FACTOR * 3 * np.finfo(float).eps * 0.5
+    x = np.array([cut, np.nextafter(cut, 1.0), 0.5])
+    for values in (x, x[::-1]):
+        kept = zero_roundoff(values)
+        assert list(kept) == [0.0 if v == cut else v for v in values]
+        assert list(zero_roundoff(values[1:] if values[0] == cut else values[:-1])) == [v for v in values if v != cut]

@@ -193,6 +193,28 @@ def test_measure_rejects_a_non_psd_effect_after_psd_ones():
             measure(effects, rho)
 
 
+def test_measure_rejects_a_non_hermitian_effect():
+    # complete, with PSD Hermitian parts: tr(E1 rho) = 0.416 + 0.041i lost its imaginary part
+    e1 = np.array([[0.5, 0.3], [0.0, 0.5]])
+    e2 = np.array([[0.5, -0.3], [0.0, 0.5]])
+    with pytest.raises(ValidationError, match="^effect is not Hermitian$"):
+        measure([e1, e2], random_density(2, 2, 1))
+
+
+def test_measure_of_hermitian_effects_is_the_born_rule():
+    rho = random_density(3, 3, 4)
+    frame = random_density(3, 3, 5).spectrum.frame
+    povms = (
+        basis_measurement(frame),
+        [HermitianMatrix(e) for e in basis_measurement(frame)],
+        [0.5 * np.eye(3), 0.5 * np.diag([1.0, 0.0, 0.0]), 0.5 * np.diag([0.0, 1.0, 1.0])],
+    )
+    for effects in povms:
+        mats = [e.entries if isinstance(e, HermitianMatrix) else e for e in effects]
+        born = [float(np.trace(m @ rho.mat).real) for m in mats]
+        assert np.abs(measure(effects, rho).weights - born).max() <= 1e-15
+
+
 def test_tensor_of_pure_is_pure():
     a = random_pure(2, 1).projector()
     b = random_pure(2, 2).projector()
