@@ -14,7 +14,8 @@ import numpy as np
 from .errors import DimensionMismatchError, DomainError, ValidationError
 from .linalg import (
     HermitianMatrix,
-    geometric_mean_in_frame,
+    _geomean_inner,
+    _psd_eigh,
     trace_norm,
     zero_roundoff,
 )
@@ -89,10 +90,11 @@ def f_min(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def f_min_via_geomean(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Same quantity through the operator geometric mean tr(rho # sigma) in the base's stored
-    eigenframe, an independent route: an eigh of Z = diag(w^-1/2) V† other V diag(w^-1/2), not T's SVD."""
+    eigenframe, an independent route: an eigh of Z = diag(w^-1/2) V† other V diag(w^-1/2) = U diag(z) U†,
+    not T's SVD, under matrix_sqrt's PSD rule; tr(B # O) = tr(diag(w) Z^1/2) = sum_k z_k^1/2 sum_i w_i |U_ik|^2."""
     base, other, _ = _base(rho, sigma, either=True)
-    g = geometric_mean_in_frame(base.spectrum, other.mat)
-    return float(min(max(np.trace(g).real, 0.0), 1.0))
+    z, u = _psd_eigh(_geomean_inner(base.spectrum, other.mat))
+    return float(min(base.spectrum.eigenvalues @ np.abs(u) ** 2 @ np.sqrt(z), 1.0))
 
 
 def f_min_pure(rho: DensityMatrix, phi: PureState) -> float:

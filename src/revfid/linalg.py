@@ -121,14 +121,20 @@ def matrix_sqrt(P) -> HermitianMatrix:
     return HermitianMatrix(_psd_sqrt(_hermitian(P).entries))
 
 
-def _psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """matrix_sqrt of a finite Hermitian array, as a plain Hermitian array."""
+def _psd_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a finite Hermitian array, eigenvalues clipped at 0 after matrix_sqrt's NotPsdError rule."""
     w, v = np.linalg.eigh(a)
     tol = PSD_TOL_FACTOR * max(1.0, float(np.linalg.norm(a)))
     if w[0] < -tol:
         report = PsdReport(False, float(w[0]), tol)
         raise NotPsdError(f"matrix is not PSD: min eigenvalue {w[0]:.3e} < -{tol:.3e}", report=report)
-    return SpectralDecomposition(eigenvalues=w, frame=v).function(np.sqrt(np.clip(w, 0.0, None)))
+    return np.maximum(w, 0.0), v
+
+
+def _psd_sqrt(a: np.ndarray) -> np.ndarray:
+    """matrix_sqrt of a finite Hermitian array, as a plain Hermitian array."""
+    w, v = _psd_eigh(a)
+    return SpectralDecomposition(eigenvalues=w, frame=v).function(np.sqrt(w))
 
 
 def geometric_mean(A, B) -> HermitianMatrix:
@@ -148,10 +154,15 @@ def geometric_mean(A, B) -> HermitianMatrix:
 
 def geometric_mean_in_frame(a: SpectralDecomposition, b: np.ndarray) -> np.ndarray:
     """A # B as a plain array, not symmetrized, in the eigenframe of A = V diag(w) V† (w > 0):
-    V diag(w^1/2) Z^1/2 diag(w^1/2) V† with Z = diag(w^-1/2) V†BV diag(w^-1/2); no root of A is inverted."""
+    V diag(w^1/2) Z^1/2 diag(w^1/2) V† with Z of ``_geomean_inner``; no root of A is inverted."""
     rw, v = np.sqrt(a.eigenvalues), a.frame
-    root_z = _psd_sqrt(hermitian_part((v.conj().T @ b @ v) / np.outer(rw, rw)))
-    return v @ (rw[:, None] * root_z * rw) @ v.conj().T
+    return v @ (rw[:, None] * _psd_sqrt(_geomean_inner(a, b)) * rw) @ v.conj().T
+
+
+def _geomean_inner(a: SpectralDecomposition, b: np.ndarray) -> np.ndarray:
+    """Z = diag(w^-1/2) V†BV diag(w^-1/2), symmetrized, for A = V diag(w) V† (w > 0): A # B's inner operator."""
+    rw, v = np.sqrt(a.eigenvalues), a.frame
+    return hermitian_part((v.conj().T @ b @ v) / (rw[:, None] * rw))
 
 
 def trace_norm(X) -> float:

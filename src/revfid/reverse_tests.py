@@ -9,7 +9,9 @@ of T on the support of TA, plus the letters of I - A†A.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -24,20 +26,34 @@ from .linalg import (
     hermitian_part,
     require_finite,
 )
-from .states import DensityMatrix, ProbDist, PureState, _check_dims, _ginibre, _rebuilt, rng_for
+from .states import (
+    DensityMatrix,
+    ProbDist,
+    PureState,
+    _check_dims,
+    _ginibre,
+    _prechecked,
+    _prechecked_dist,
+    _rebuilt,
+    rng_for,
+)
 
 COLUMN_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class ReverseTest:
-    """Preparation matrix (unit columns) with source distributions p, q."""
+    """Preparation matrix (unit columns) with source distributions p, q, checked here; the library's
+    minimal test is built prechecked, since its kernel guarantees what these checks guard."""
 
     prep: np.ndarray
     p: ProbDist
     q: ProbDist
 
     def __post_init__(self):
+        for name in ("p", "q"):
+            if not isinstance(getattr(self, name), ProbDist):
+                raise ValidationError(f"{name} must be a ProbDist, got {type(getattr(self, name)).__name__}")
         n = np.asarray(self.prep, dtype=complex)
         if n.ndim != 2:
             raise ValidationError("prep must be a dim x m matrix")
@@ -58,11 +74,10 @@ class ReverseTest:
     def size(self) -> int:
         return self.prep.shape[1]
 
-    def prepared_pair(self) -> tuple[np.ndarray, np.ndarray]:
+    def prepared_pair(self) -> np.ndarray:
+        """The prepared states stacked as (2, dim, dim), unpacking as (rho', sigma'): one product for both."""
         cols = self.prep
-        rho = (cols * self.p.weights) @ cols.conj().T
-        sigma = (cols * self.q.weights) @ cols.conj().T
-        return rho, sigma
+        return (cols * np.array((self.p.weights, self.q.weights))[:, None, :]) @ cols.conj().T
 
     def fidelity(self) -> float:
         return classical_fidelity(self.p, self.q)
@@ -80,11 +95,15 @@ class VerificationReport:
 def verify_reverse_test(
     rt: ReverseTest, rho: DensityMatrix, sigma: DensityMatrix, tol: float = 1e-7
 ) -> VerificationReport:
-    """Trace-norm residuals of the preparation identities, both from one SVD call (finite operands)."""
+    """Trace-norm residuals of the preparation identities, both from one SVD call (finite operands);
+    tol must be a finite real >= 0."""
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not math.isfinite(tol) or tol < 0:
+        raise ValidationError(f"tol must be a finite real >= 0, got {tol!r}")
     _check_dims(rt, rho)
     _check_dims(rt, sigma)
-    prep_rho, prep_sigma = rt.prepared_pair()
-    residuals = np.stack([prep_rho - rho.mat, prep_sigma - sigma.mat])
+    residuals = rt.prepared_pair()
+    residuals[0] -= rho.mat
+    residuals[1] -= sigma.mat
     r_res, s_res = (float(x) for x in np.linalg.svd(residuals, compute_uv=False).sum(axis=1))
     return VerificationReport(
         rho_residual=r_res,
@@ -98,12 +117,14 @@ def verify_reverse_test(
 def minimal_reverse_test(rho: DensityMatrix, sigma: DensityMatrix) -> ReverseTest:
     """Optimal reverse test on an alphabet of size dim: the (p, q) that f_min reads, in ascending sqrt(q/p),
     prepared with the unit columns sqrt(B) e_x / sqrt(b_x) = V (w^1/2 L_x) / sqrt(b_x) of _minimal_test's
-    eigenframe e_x = V L_x on the base B = V diag(w) V†.  Its classical fidelity is f_min."""
+    eigenframe e_x = V L_x on the base B = V diag(w) V†.  Its classical fidelity is f_min.  The columns are
+    unit vectors and p, q nonnegative, so the test and its distributions are built prechecked, read-only."""
     p, q, left, base, swapped = _minimal_test(rho, sigma)
     prep = base.spectrum.frame @ (np.sqrt(base.spectrum.eigenvalues)[:, None] * left / np.sqrt(q if swapped else p))
     if not swapped:  # sqrt(q/p) = t descends on the base rho
         prep, p, q = prep[:, ::-1], p[::-1], q[::-1]
-    return ReverseTest(prep=prep, p=ProbDist(p), q=ProbDist(q))
+    prep.setflags(write=False)
+    return _prechecked(ReverseTest, prep=prep, p=_prechecked_dist(p), q=_prechecked_dist(q))
 
 
 def sample_contraction(t: HermitianMatrix, seed: int) -> np.ndarray:

@@ -200,6 +200,15 @@ def _prechecked(cls, **fields):
     return obj
 
 
+def _prechecked_dist(w: np.ndarray) -> ProbDist:
+    """ProbDist of finite weights that pass its checks, built without them: the same clip at 0 and
+    division by the sum, so the weights are ProbDist(w)'s bit for bit."""
+    w = np.maximum(w, 0.0)
+    w = w / w.sum()
+    w.setflags(write=False)
+    return _prechecked(ProbDist, weights=w)
+
+
 def make_density_stack(
     states, velocities=None
 ) -> tuple[tuple[DensityMatrix, ...], tuple[HermitianMatrix, ...] | None]:

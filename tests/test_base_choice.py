@@ -30,8 +30,9 @@ from revfid.divergences import (
     uhlmann_fidelity,
 )
 from revfid.errors import DomainError
-from revfid.reverse_tests import minimal_reverse_test, verify_reverse_test
-from revfid.states import PureState, make_density, random_density
+from revfid.linalg import geometric_mean
+from revfid.reverse_tests import COLUMN_NORM_TOL, ReverseTest, minimal_reverse_test, verify_reverse_test
+from revfid.states import ProbDist, PureState, make_density, random_density
 
 QUARTER, HALF, THREE_QUARTERS = (OperatorMonotoneSpec.power(a) for a in (0.25, 0.5, 0.75))
 
@@ -162,6 +163,37 @@ def test_minimal_reverse_test_columns_are_the_normalized_root_of_the_base(pairs)
         prep = minimal_reverse_test(rho, sigma).prep
         assert np.abs(prep - (cols if swapped else cols[:, ::-1])).max() <= 5e-14
         assert np.abs(np.linalg.norm(prep, axis=0) - 1.0).max() <= 4e-15
+
+
+def rank_deficient_sigma():
+    for dim in range(2, 6):
+        for s in range(50):
+            yield random_density(dim, dim, s), random_density(dim, 1 + s % (dim - 1), s + 900)
+
+
+@pytest.mark.parametrize("pairs", [random_pairs, ill_conditioned_family, rank_deficient_sigma])
+def test_library_built_minimal_test_holds_what_reverse_test_checks(pairs):
+    # minimal_reverse_test skips ReverseTest's and ProbDist's checks; the kernel
+    # guarantees what they guard, and a user-built re-wrap of it passes them
+    for rho, sigma in both_orders(pairs()):
+        rt = minimal_reverse_test(rho, sigma)
+        assert np.abs(np.linalg.norm(rt.prep, axis=0) - 1.0).max() <= COLUMN_NORM_TOL
+        for w in (rt.p.weights, rt.q.weights):
+            assert w.min() >= 0.0
+            assert abs(w.sum() - 1.0) <= 1e-14
+        assert not any(x.flags.writeable for x in (rt.prep, rt.p.weights, rt.q.weights))
+        again = ReverseTest(rt.prep, ProbDist(rt.p.weights), ProbDist(rt.q.weights))
+        assert np.array_equal(again.prep, rt.prep)
+        # ProbDist divides by the sum again, which moves a weight by at most 2 ulp (measured)
+        np.testing.assert_array_max_ulp(again.p.weights, rt.p.weights, maxulp=2)
+        np.testing.assert_array_max_ulp(again.q.weights, rt.q.weights, maxulp=2)
+
+
+def test_f_min_via_geomean_is_the_trace_of_the_geometric_mean():
+    # the trace read off Z's eigensystem against the dense tr(rho # sigma): measured 7.0e-15
+    for rho, sigma in random_pairs():
+        dense = np.trace(geometric_mean(rho.mat, sigma.mat).entries).real
+        assert abs(f_min_via_geomean(rho, sigma) - dense) <= 1e-12
 
 
 def test_route_gap_on_the_ill_conditioned_family():

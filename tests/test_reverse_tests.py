@@ -44,6 +44,22 @@ def test_reverse_test_rejects_nonunit_columns():
         )
 
 
+@pytest.mark.parametrize("name", ["p", "q"])
+def test_reverse_test_rejects_a_p_or_q_that_is_not_a_probdist(name):
+    # a plain list used to raise AttributeError: 'list' object has no attribute 'size'
+    kwargs = {"p": ProbDist(np.array([0.5, 0.5])), "q": ProbDist(np.array([0.5, 0.5])), name: [0.5, 0.5]}
+    with pytest.raises(ValidationError, match=f"^{name} must be a ProbDist, got list$"):
+        ReverseTest(np.eye(2), **kwargs)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, "x"], ids=["negative", "nan", "str"])
+def test_verify_reverse_test_rejects_a_bad_tolerance(tol):
+    # -1.0 and nan gave passes=False without error, and "x" a raw TypeError
+    rho, sigma = qubit_pair(9)
+    with pytest.raises(ValidationError, match=r"^tol must be a finite real >= 0, got "):
+        verify_reverse_test(minimal_reverse_test(rho, sigma), rho, sigma, tol=tol)
+
+
 def test_minimal_commuting_is_computational_basis():
     rho = make_density(np.diag([0.5, 0.5]))
     sigma = make_density(np.diag([0.8, 0.2]))
