@@ -71,6 +71,7 @@ class Curve:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
+        require_finite(t, "time grid")  # NaN passes the ordering check below
         if t.ndim != 1 or len(t) != len(self.states):
             raise ValidationError("times and states must have equal length")
         if len(t) > 1 and np.any(np.diff(t) <= 0):
@@ -100,8 +101,7 @@ class GeodesicState:
         object.__setattr__(self, "rld_matrix", l)
 
     def constraint_residual(self) -> float:
-        r = self.state.mat
-        l = self.rld_matrix
+        r, l = self.state.mat, self.rld_matrix
         return float(np.linalg.norm(r @ l.conj().T - l @ r))
 
 
@@ -145,8 +145,7 @@ def rld_fisher(tp: TangentPoint) -> FisherReport:
 
 
 def fisher_both(tp: TangentPoint) -> FisherReport:
-    s = sld_fisher(tp)
-    r = rld_fisher(tp)
+    s, r = sld_fisher(tp), rld_fisher(tp)
     return FisherReport(j_sld=s.j_sld, j_rld=r.j_rld, sld=s.sld, rld=r.rld)
 
 
@@ -168,9 +167,12 @@ def tangent_reverse_estimation(
 
 
 def classical_fisher(p: ProbDist, dp: SignedVector) -> float:
+    """sum dp^2 / p; a point with p = 0 adds 0 if dp is 0 there and has no finite information otherwise."""
     _check_sizes(p, dp)
-    mask = p.weights > 0
-    return float(np.sum(dp.values[mask] ** 2 / p.weights[mask]))
+    on = p.weights > 0
+    if dp.values[~on].any():
+        raise DomainError("Fisher information undefined: dp is non-zero where p is 0")
+    return float(np.sum(dp.values[on] ** 2 / p.weights[on]))
 
 
 def fmin_geodesic(rho: DensityMatrix, sigma: DensityMatrix, n_samples: int = 33) -> Curve:
@@ -184,19 +186,23 @@ def _great_circle(rho: DensityMatrix, rt: ReverseTest, n_samples: int) -> Curve:
     """The geodesic of :func:`fmin_geodesic` from its minimal reverse test rt."""
     fid = rt.fidelity()
     times = np.linspace(0.0, 1.0, n_samples)
-    if fid >= EQUAL_PAIR_FIDELITY:
-        zero = HermitianMatrix(np.zeros((rho.dim, rho.dim)))
-        return Curve(times, tuple([rho] * n_samples), tuple([zero] * n_samples))
-    theta = math.acos(min(max(fid, 0.0), 1.0))
-    sp = np.sqrt(rt.p.weights)
-    sq = np.sqrt(rt.q.weights)
-    n = rt.prep
-    before, after = (1.0 - times)[:, None] * theta, times[:, None] * theta
-    amp = (np.sin(before) * sp + np.sin(after) * sq) / math.sin(theta)
-    damp = theta * (-np.cos(before) * sp + np.cos(after) * sq) / math.sin(theta)
-    states = (n * (amp**2)[:, None, :]) @ n.conj().T
-    velocities = (n * (2.0 * amp * damp)[:, None, :]) @ n.conj().T
-    return Curve(times, *make_density_stack(states, velocities))
+    if fid >= EQUAL_PAIR_FIDELITY:  # the curve stands still
+        return Curve(times, (rho,) * n_samples, (HermitianMatrix(np.zeros((rho.dim, rho.dim))),) * n_samples)
+    theta = math.acos(fid)
+    arc = _arc(rt.prep, np.sqrt(rt.p.weights), np.sqrt(rt.q.weights), theta, theta * times[:, None], theta)
+    return Curve(times, *make_density_stack(*arc[1:]))
+
+
+def _arc(cols: np.ndarray, a0: np.ndarray, a1: np.ndarray, theta: float, phi: np.ndarray, rate: float):
+    """The one great-circle formula: at the column of angles phi, a = (sin(theta - phi) a0 + sin(phi) a1) /
+    sin(theta), the states cols diag(a^2) cols† / |a|^2 over unit columns cols and their velocities
+    rate cols diag(2 a da/dphi) cols† / |a|^2. |a| = 1 for unit a0, a1 at angle theta; the flow's
+    are so only as far as its start is unit speed, which it is to 1e-6, hence the division."""
+    amp = (np.sin(theta - phi) * a0 + np.sin(phi) * a1) / math.sin(theta)
+    damp = rate * (np.cos(phi) * a1 - np.cos(theta - phi) * a0) / math.sin(theta)
+    norm = np.sum(amp * amp, axis=1)[:, None]
+    states = (cols * (amp * amp / norm)[:, None, :]) @ cols.conj().T
+    return amp, states, (cols * (2.0 * amp * damp / norm)[:, None, :]) @ cols.conj().T
 
 
 def _fd_velocities(curve: Curve) -> np.ndarray:
@@ -279,8 +285,7 @@ def curve_speeds(curve: Curve, metric: str = "rld") -> np.ndarray:
     """
     if metric not in ("sld", "rld"):
         raise ValidationError(f"metric must be 'sld' or 'rld', got {metric!r}")
-    vels = curve.velocities
-    vels = _fd_velocities(curve) if vels is None else np.array([v.entries for v in vels])
+    vels = _fd_velocities(curve) if curve.velocities is None else np.array([v.entries for v in curve.velocities])
     w = np.array([s.spectrum.eigenvalues for s in curve.states])
     v = np.array([s.spectrum.frame for s in curve.states])
     d = np.abs(v.conj().swapaxes(1, 2) @ vels @ v) ** 2
@@ -304,13 +309,18 @@ def curve_speeds(curve: Curve, metric: str = "rld") -> np.ndarray:
 
 
 def geodesic_start(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[GeodesicState, float]:
-    """Unit-speed initial data (rho, L0) for the commutative geodesic flow,
-    plus the total arc time 2 arccos F_min."""
-    fisher = rld_fisher(TangentPoint(rho, fmin_geodesic(rho, sigma, n_samples=3).velocities[0]))
-    if fisher.j_rld <= 1e-18:
+    """Unit-speed initial data (rho, L0) for the commutative geodesic flow, plus the total arc
+    time 2 theta, theta = arccos F_min: the great circle's RLD speed is 2 theta, so at rate 1/2
+    its drho(0) has unit speed, and L0 = drho(0) rho^-1 = V (X_ij / w_j) V† as in rld_fisher."""
+    rt = minimal_reverse_test(rho, sigma)
+    rho.require_full_rank()
+    fid = rt.fidelity()
+    if fid >= EQUAL_PAIR_FIDELITY:
         return GeodesicState(rho, np.zeros_like(rho.mat)), 0.0
-    total = math.sqrt(fisher.j_rld)
-    return GeodesicState(rho, fisher.rld / total), total
+    theta = math.acos(fid)
+    vel = _arc(rt.prep, np.sqrt(rt.p.weights), np.sqrt(rt.q.weights), theta, np.zeros((1, 1)), 0.5)[2][0]
+    w, v = rho.spectrum.eigenvalues, rho.spectrum.frame
+    return GeodesicState(rho, v @ (v.conj().T @ vel @ v / w) @ v.conj().T), 2.0 * theta
 
 
 def _check_flow_start(start: GeodesicState, dt: float, steps: int) -> None:
@@ -324,17 +334,12 @@ def _check_flow_start(start: GeodesicState, dt: float, steps: int) -> None:
     require_finite(l, "L")
     if start.constraint_residual() > 1e-8:
         raise ValidationError("start violates rho L† = L rho")
-    tr_lr = np.trace(start.rld_matrix @ start.state.mat).real
-    if abs(tr_lr) > 1e-8:
+    if abs(np.trace(l @ start.state.mat).real) > 1e-8:
         raise ValidationError("start violates tr(L rho) = 0")
     start.state.require_full_rank()
-    j = float(np.trace(start.rld_matrix.conj().T @ start.rld_matrix @ start.state.mat).real)
+    j = float(np.trace(l.conj().T @ l @ start.state.mat).real)
     if abs(j - 1.0) > 1e-6:
         raise ValidationError(f"start is not unit speed: J^R = {j}")
-
-
-def _rejected_step(k: int, residual: float) -> DomainError:
-    return DomainError(f"step {k} rejected: constraint residual {residual:.3e} exceeds {FLOW_CONSTRAINT_TOL}")
 
 
 def _integrate_flow(start: GeodesicState, dt: float, steps: int) -> Curve:
@@ -376,7 +381,9 @@ def _integrate_flow(start: GeodesicState, dt: float, steps: int) -> Curve:
                 c = k1r - k1r.conj().T
                 residual = math.sqrt(np.vdot(c, c).real)
                 if not residual <= FLOW_CONSTRAINT_TOL:
-                    raise _rejected_step(k + 1, residual)
+                    raise DomainError(
+                        f"step {k + 1} rejected: constraint residual {residual:.3e} exceeds {FLOW_CONSTRAINT_TOL}"
+                    )
             except DomainError:
                 trajectory(k)  # an invalid earlier step is reported first
                 raise
@@ -394,34 +401,28 @@ def commutative_geodesic_flow(start: GeodesicState, dt: float, steps: int) -> Cu
     rho L† = L rho; a start's residual, at most 1e-8, is projected out) and the
     fixed frame N = rho0^1/2 U, the flow is L = N diag(l) N^-1 and
     rho = N diag(c^2) N† with c = cos(t/2) + l0 sin(t/2), l = 2c'/c =
-    tan(arctan l0 - t/2): the great circle of fmin_geodesic. The velocity is
-    N diag(l c^2) N†, finite where l is not. Where some c reaches 0, rho meets
-    the cone's boundary and l diverges: the first grid step with c <= 0 stops
-    the flow with a DomainError.
+    tan(arctan l0 - t/2): the great circle of fmin_geodesic, _arc at theta = pi/2
+    and phi = t/2 with a0 = |N_x| and a1 = a0 l0 on N's unit columns. Where some
+    a reaches 0, rho meets the cone's boundary and l diverges: the first grid
+    step with a <= 0 stops the flow with a DomainError.
 
     The grid is normalized to [0, 1]; velocities are derivatives with
     respect to the normalized parameter.
     """
     _check_flow_start(start, dt, steps)
     total = dt * steps
-    w, v = start.state.spectrum.eigenvalues, start.state.spectrum.frame
-    sw = np.sqrt(w)
+    sw, v = np.sqrt(start.state.spectrum.eigenvalues), start.state.spectrum.frame
     # H in rho0's eigenbasis: diag(w)^-1/2 (V† L0 V) diag(w)^1/2
     ell0, u = np.linalg.eigh(hermitian_part((v.conj().T @ start.rld_matrix @ v) * sw / sw[:, None]))
     n = (v * sw) @ u
-
+    a0 = np.linalg.norm(n, axis=0)
     t = dt * np.arange(steps + 1)
-    cos, sin = np.cos(0.5 * t)[:, None], np.sin(0.5 * t)[:, None]
-    c = cos + ell0 * sin
-    past = np.flatnonzero((c[1:] <= 0.0).any(axis=1))
+    amp, rho, vel = _arc(n / a0, a0, a0 * ell0, 0.5 * math.pi, 0.5 * t[:, None], 0.5 * total)
+    past = np.flatnonzero((amp[1:] <= 0.0).any(axis=1))
     if past.size:
         # the first l to diverge: the least l0 forward, the largest backward
         blow_up = 2.0 * math.atan(ell0[0]) + math.pi if dt > 0 else 2.0 * math.atan(ell0[-1]) - math.pi
         raise DomainError(f"step {past[0] + 1} rejected: L diverges at t = {blow_up:.6g}")
-    # tr rho stays 1 only at unit speed, which a start meets to 1e-6
-    tr = (c * c) @ np.sum(np.abs(n) ** 2, axis=0)
-    rho = (n * (c * c / tr[:, None])[:, None, :]) @ n.conj().T
-    vel = total * ((n * (c * (ell0 * cos - sin) / tr[:, None])[:, None, :]) @ n.conj().T)
     states, velocities = make_density_stack(rho[1:], vel[1:])
     times = np.concatenate(([0.0], t[1:] / total))
     return Curve(times, (start.state,) + states, (HermitianMatrix(vel[0]),) + velocities)
@@ -605,9 +606,6 @@ def expansion_check(
         residuals.append(abs(fid - (1.0 - eps * eps * j / 8.0)))
     if all(r == 0.0 for r in residuals):
         slope = math.inf
-    else:
-        floor = 1e-300
-        slope = float(
-            np.polyfit(np.log(eps_arr), np.log(np.maximum(residuals, floor)), 1)[0]
-        )
+    else:  # a zero residual among nonzero ones is floored for the log
+        slope = float(np.polyfit(np.log(eps_arr), np.log(np.maximum(residuals, 1e-300)), 1)[0])
     return ExpansionReport(eps=tuple(eps_list), residuals=tuple(residuals), slope=slope)

@@ -52,7 +52,10 @@ def require_finite(a: np.ndarray, what: str) -> None:
 
 
 def _as_square_complex(entries) -> np.ndarray:
-    a = np.asarray(entries, dtype=complex)
+    try:
+        a = np.asarray(entries, dtype=complex)
+    except TypeError:  # e.g. a DensityMatrix, whose entries are its .mat
+        raise ValidationError(f"expected a matrix, got {type(entries).__name__}") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -103,15 +106,12 @@ class PsdReport:
 
 
 def _hermitian(H) -> HermitianMatrix:
-    if isinstance(H, HermitianMatrix):
-        return H
-    return HermitianMatrix(H)
+    return H if isinstance(H, HermitianMatrix) else HermitianMatrix(H)
 
 
 def eig_hermitian(H) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix; eigenvalues sorted ascending."""
-    H = _hermitian(H)
-    w, v = np.linalg.eigh(H.entries)
+    w, v = np.linalg.eigh(_hermitian(H).entries)
     return SpectralDecomposition(eigenvalues=w, frame=v)
 
 

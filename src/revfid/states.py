@@ -148,7 +148,7 @@ class SignedVector:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).reshape(-1)
         require_finite(v, "signed vector")
-        if abs(v.sum() - self.total) > 1e-9:
+        if not abs(v.sum() - self.total) <= 1e-9:  # a NaN or infinite total fails
             raise ValidationError(f"values sum to {v.sum()}, declared total {self.total}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -320,6 +320,8 @@ def apply_channel(lam: Channel, rho: DensityMatrix) -> DensityMatrix:
 def preparation_channel(columns: np.ndarray) -> Channel:
     """Channel sending the x-th basis distribution to the pure state in column x: Kraus x is n e_x^T."""
     n = np.asarray(columns, dtype=complex)
+    if n.ndim != 2:
+        raise ValidationError(f"preparation columns must form a 2-d array, got shape {n.shape}")
     m = n.shape[1]
     return Channel(np.where(np.eye(m, dtype=bool)[:, None, :], n.T[:, :, None], 0.0))
 

@@ -42,6 +42,7 @@ from revfid.geometry import (
     _segment_lengths,
 )
 from revfid.linalg import HermitianMatrix
+from revfid.reverse_tests import minimal_reverse_test
 from revfid.states import (
     DensityMatrix,
     ProbDist,
@@ -135,6 +136,13 @@ def test_tangent_estimation_zero_velocity():
     _, p, dp = tangent_reverse_estimation(tp)
     assert np.allclose(dp.values, 0.0)
     assert classical_fisher(p, dp) == 0.0
+
+
+@pytest.mark.parametrize("dp", [[-0.5, 0.5], [0.5, -0.5]])
+def test_classical_fisher_rejects_dp_off_the_support_of_p(dp):
+    # the p = 0 point was dropped, so these read 0.25 instead of having no finite value
+    with pytest.raises(DomainError, match="dp is non-zero where p is 0"):
+        classical_fisher(ProbDist([1.0, 0.0]), SignedVector(dp))
 
 
 def test_classical_fisher_rejects_mismatched_sizes():
@@ -269,6 +277,14 @@ def test_curve_rejects_malformed_grids(times, n_states, n_velocities, match):
     vels = None if n_velocities is None else (HermitianMatrix(np.zeros((2, 2))),) * n_velocities
     with pytest.raises(ValidationError, match=match):
         Curve(np.array(times), (rho,) * n_states, vels)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_curve_rejects_non_finite_times(bad):
+    # a NaN time passed the ordering check, and curve_length returned nan under a RuntimeWarning
+    curve = fmin_geodesic(random_density(2, 2, 1), random_density(2, 2, 2), n_samples=5)
+    with pytest.raises(ValidationError, match="time grid has non-finite entries"):
+        Curve(np.array([0.0, bad, 0.5, 0.75, 1.0]), curve.states, curve.velocities)
 
 
 @pytest.mark.parametrize("velocity_dim", [None, 3])
@@ -655,6 +671,32 @@ def test_geodesic_start_near_singular_rho():
             assert state_distance(flow.states[-1], sigma) < 1e-6
             reached += 1
     assert reached == 253
+
+
+def _arc_pairs(family):
+    if family == "random":
+        for i in range(100):
+            dim = 2 + i % 4
+            yield random_density(dim, dim, 5000 + i), random_density(dim, dim, 6000 + i)
+        return
+    # README's ill-conditioned family: rho = (1 - eps) R + eps I/d, R of rank ceil(d/2), eps from 1e-9 to 1
+    for dim in (2, 3, 4):
+        for s in range(200):
+            eps = 10.0 ** (-9 + 9 * (s % 50) / 50)
+            r = random_density(dim, math.ceil(dim / 2), s).mat
+            yield make_density((1 - eps) * r + eps * np.eye(dim) / dim), random_density(dim, dim, s + 7)
+
+
+@pytest.mark.parametrize("family", ["random", "ill_conditioned"])
+def test_geodesic_start_reads_the_arc_off_the_minimal_test(family):
+    # the arc time is 2 arccos F_min bit for bit, and L0 agrees with the route it replaced:
+    # the RLD matrix of a sampled fmin_geodesic's velocity at 0, divided by sqrt(J^R)
+    for rho, sigma in _arc_pairs(family):
+        gs, total = geodesic_start(rho, sigma)
+        assert total == 2 * math.acos(minimal_reverse_test(rho, sigma).fidelity())
+        fisher = rld_fisher(TangentPoint(rho, fmin_geodesic(rho, sigma, n_samples=3).velocities[0]))
+        ref = fisher.rld / math.sqrt(fisher.j_rld)
+        assert np.linalg.norm(gs.rld_matrix - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def _flow_with_stage(stage, start, dt, steps):

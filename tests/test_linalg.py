@@ -149,3 +149,14 @@ def test_zero_roundoff_reads_the_maximum_at_either_end():
         kept = zero_roundoff(values)
         assert list(kept) == [0.0 if v == cut else v for v in values]
         assert list(zero_roundoff(values[1:] if values[0] == cut else values[:-1])) == [v for v in values if v != cut]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [matrix_sqrt, eig_hermitian, lambda m: geometric_mean(m, m), trace_norm, HermitianMatrix],
+    ids=["matrix_sqrt", "eig_hermitian", "geometric_mean", "trace_norm", "HermitianMatrix"],
+)
+def test_matrix_functions_name_a_state_given_for_a_matrix(call):
+    # a DensityMatrix raised a raw TypeError from np.asarray; its entries are rho.mat
+    with pytest.raises(ValidationError, match="expected a matrix, got DensityMatrix"):
+        call(random_density(3, 3, 1))

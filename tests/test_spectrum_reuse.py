@@ -35,6 +35,7 @@ from revfid.geometry import (
     fisher_both,
     fmin_geodesic,
     fr_estimate,
+    geodesic_start,
     rld_fisher,
     sld_fisher,
     tangent_reverse_estimation,
@@ -464,6 +465,16 @@ def test_pure_target_and_quasi_entropy_read_the_stored_spectra(decompositions):
     f_min_pure(rho, phi)
     assert decompositions == {"eigh": 0, "eigvalsh": 0, "svd": 0, "inv": 0, "solve": 0}
     quasi_entropy_comparison(rho, sigma, 0.5)
+    assert decompositions == {"eigh": 0, "eigvalsh": 0, "svd": 1, "inv": 0, "solve": 0}
+
+
+def test_geodesic_start_reads_its_velocity_off_the_minimal_test(decompositions):
+    # the great circle's velocity at 0 and rho's stored spectrum give L0: the minimal
+    # test's one SVD, and no sampled curve whose states would be decomposed again
+    rho = random_density(3, 3, 1)
+    sigma = random_density(3, 3, 2)
+    decompositions.update(eigh=0, eigvalsh=0)
+    geodesic_start(rho, sigma)
     assert decompositions == {"eigh": 0, "eigvalsh": 0, "svd": 1, "inv": 0, "solve": 0}
 
 

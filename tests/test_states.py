@@ -124,6 +124,13 @@ def test_signed_vector_total():
         SignedVector(np.array([0.5, 0.5]), total=0.0)
 
 
+@pytest.mark.parametrize("total", [np.nan, np.inf, -np.inf])
+def test_signed_vector_rejects_a_non_finite_total(total):
+    # the sum check compared against NaN, which every comparison fails, so a NaN total passed
+    with pytest.raises(ValidationError, match="declared total"):
+        SignedVector([0.0, 0.0], total=float(total))
+
+
 def test_random_channel_complete():
     lam = random_channel(3, 2, 2, 8)
     comp = sum(k.conj().T @ k for k in lam.kraus)
@@ -157,6 +164,13 @@ def test_apply_channel_dim_mismatch():
 def test_state_distance_dim_mismatch():
     with pytest.raises(DimensionMismatchError):
         state_distance(random_density(2, 2, 1), random_density(3, 3, 1))
+
+
+@pytest.mark.parametrize("columns", [np.array([1.0, 0.0]), np.array(1.0), np.ones((2, 2, 2))], ids=["1-d", "0-d", "3-d"])
+def test_preparation_channel_rejects_a_non_matrix(columns):
+    # a 1-d array raised a raw IndexError from its missing column axis
+    with pytest.raises(ValidationError, match="2-d array"):
+        preparation_channel(columns)
 
 
 def test_preparation_channel_prepares_columns():
