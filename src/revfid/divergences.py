@@ -19,7 +19,7 @@ from .linalg import (
     trace_norm,
     zero_roundoff,
 )
-from .states import FULL_RANK_MIN_EIG, DensityMatrix, ProbDist, PureState, _check_dims
+from .states import FULL_RANK_MIN_EIG, DensityMatrix, ProbDist, PureState, _check_dims, require_real
 
 _SINGULAR = " is singular (min eigenvalue {lam:.3e}); use the pure-target closed form or regularize explicitly"
 
@@ -123,7 +123,8 @@ class OperatorMonotoneSpec:
 
     def __post_init__(self):
         if self.kind == "power":
-            if self.alpha is None or not 0.0 < self.alpha <= 1.0:
+            require_real("power exponent", self.alpha)
+            if not 0.0 < self.alpha <= 1.0:
                 raise ValidationError(f"power exponent must lie in (0, 1], got {self.alpha}")
         elif self.kind == "custom":
             if self.fn is None:
@@ -207,6 +208,7 @@ def quasi_entropy_comparison(
     F_alpha_min among monotone extensions gives
     s_alpha <= one_minus_f_alpha_min, with equality iff the pair commutes.
     """
+    require_real("alpha", alpha)
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
     _base(rho, sigma, either=False)

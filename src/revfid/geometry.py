@@ -15,7 +15,7 @@ import numpy as np
 
 from .divergences import _check_sizes, f_min, uhlmann_fidelity
 from .errors import DimensionMismatchError, DomainError, ValidationError
-from .linalg import CONE_MIN_EIG, EQUAL_PAIR_FIDELITY, HermitianMatrix, hermitian_part, require_finite
+from .linalg import CONE_MIN_EIG, EQUAL_PAIR_FIDELITY, HermitianMatrix, eigh_upper, hermitian_part, require_finite
 from .reverse_tests import ReverseTest, minimal_reverse_test
 from .states import (
     FULL_RANK_MIN_EIG,
@@ -70,8 +70,7 @@ class Curve:
     velocities: tuple[HermitianMatrix, ...] | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        require_finite(t, "time grid")  # NaN passes the ordering check below
+        t = require_finite(self.times, "time grid", float)  # NaN passes the ordering check below
         if t.ndim != 1 or len(t) != len(self.states):
             raise ValidationError("times and states must have equal length")
         if len(t) > 1 and np.any(np.diff(t) <= 0):
@@ -430,29 +429,16 @@ def commutative_geodesic_flow(start: GeodesicState, dt: float, steps: int) -> Cu
 
 def rld_geodesic_flow(start: GeodesicState, dt: float, steps: int) -> Curve:
     """General RLD geodesic: RK4 of drho/dt = L rho, rho dL + dL rho = -rho (L†L + 1),
-    each stage solved in the eigenbasis of its Hermitian part. The anti-Hermitian
-    part dropped is O(dt * constraint residual); a step whose residual exceeds
-    FLOW_CONSTRAINT_TOL, or is not finite, stops the flow with a DomainError."""
+    each stage solved in the eigenbasis of its Hermitian part (eigh_upper: numpy's LAPACK
+    heevd). The anti-Hermitian part dropped is O(dt * constraint residual); a step whose
+    residual exceeds FLOW_CONSTRAINT_TOL, or is not finite, stops the flow with a DomainError."""
     _check_flow_start(start, dt, steps)
     return _integrate_flow(start, dt, steps)
 
 
-@functools.cache
-def _zheevd():
-    """LAPACK zheevd, imported on the first stage solve. It is the package's one use of
-    scipy: importing scipy.linalg costs 0.14-0.33 s and 26 MB of RSS per process, which no other
-    quantity needs. It stays because a call takes about 1.7 / 2.4 / 3.5 µs at d = 2 / 3 / 4 against
-    6.0 / 6.9 / 8.0 µs for np.linalg.eigh (OpenBLAS, one thread), and a 500-step flow makes 2000."""
-    from scipy.linalg.lapack import zheevd
-
-    return zheevd
-
-
 def _rld_stage(r: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """dL/dt at the stage point (r, m): one eigensolve of r + r†, one Lyapunov solve."""
-    w, v, info = _zheevd()(r + r.conj().T)
-    if info:  # not converged: only on non-finite input, and the step is lost
-        w = np.full_like(w, np.nan)
+    """dL/dt at the stage point (r, m): one eigensolve of r + r† (NaN if it fails), one Lyapunov solve."""
+    w, v = eigh_upper(r + r.conj().T)
     # twice the stage's equation h dL + dL h = -r (L†L + 1), with h = (r + r†)/2
     return _lyapunov_solve(w, v, (r.dot(m.conj().T.dot(m)) + r) * -2.0)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatchError, DomainError, NotPsdError, ValidationError
 
@@ -36,6 +37,10 @@ CONE_MIN_EIG = 1e-13
 # a reverse test this close to fidelity 1 is an equal pair: its geodesic stands still
 EQUAL_PAIR_FIDELITY = 1.0 - 1e-12
 
+# np.linalg.eigh(a, UPLO="U")'s LAPACK heevd gufunc without its ~5 µs wrapper; private, so pinned in test_linalg.
+# It takes (..., d, d) stacks, and a solve that does not converge gives NaN where np.linalg.eigh raises.
+eigh_upper = _umath_linalg.eigh_up
+
 
 def zero_roundoff(x: np.ndarray) -> np.ndarray:
     """x (nonnegative, sorted either way) with each entry <= ZERO_ROUNDOFF_FACTOR n eps max(x) set to 0."""
@@ -44,11 +49,16 @@ def zero_roundoff(x: np.ndarray) -> np.ndarray:
     return x if low > cut else np.where(x > cut, x, 0.0)
 
 
-def require_finite(a: np.ndarray, what: str) -> None:
-    """ValidationError unless every entry of ``a`` is finite (NaN fails
-    every comparison a later check would make)."""
+def require_finite(entries, what: str, dtype=None) -> np.ndarray:
+    """np.asarray(entries, dtype); ValidationError naming ``what`` unless every entry is a finite
+    number (NaN fails every comparison a later check would make)."""
+    try:
+        a = np.asarray(entries, dtype=dtype)
+    except (TypeError, ValueError):  # a string, None or a ragged nesting among the entries
+        raise ValidationError(f"{what} must be an array of numbers") from None
     if not np.isfinite(a).all():
         raise ValidationError(f"{what} has non-finite entries")
+    return a
 
 
 def _as_square_complex(entries) -> np.ndarray:

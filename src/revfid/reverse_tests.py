@@ -9,9 +9,7 @@ of T on the support of TA, plus the letters of I - A†A.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
@@ -35,6 +33,7 @@ from .states import (
     _prechecked,
     _prechecked_dist,
     _rebuilt,
+    require_real,
     rng_for,
 )
 
@@ -54,10 +53,9 @@ class ReverseTest:
         for name in ("p", "q"):
             if not isinstance(getattr(self, name), ProbDist):
                 raise ValidationError(f"{name} must be a ProbDist, got {type(getattr(self, name)).__name__}")
-        n = np.asarray(self.prep, dtype=complex)
+        n = require_finite(self.prep, "prep matrix", complex)
         if n.ndim != 2:
             raise ValidationError("prep must be a dim x m matrix")
-        require_finite(n, "prep matrix")
         if n.shape[1] != self.p.size or n.shape[1] != self.q.size:
             raise ValidationError("prep column count must match p and q sizes")
         norms = np.linalg.norm(n, axis=0)
@@ -97,8 +95,7 @@ def verify_reverse_test(
 ) -> VerificationReport:
     """Trace-norm residuals of the preparation identities, both from one SVD call (finite operands);
     tol must be a finite real >= 0."""
-    if isinstance(tol, bool) or not isinstance(tol, Real) or not math.isfinite(tol) or tol < 0:
-        raise ValidationError(f"tol must be a finite real >= 0, got {tol!r}")
+    require_real("tol", tol, 0)
     _check_dims(rt, rho)
     _check_dims(rt, sigma)
     residuals = rt.prepared_pair()
@@ -153,10 +150,9 @@ def general_reverse_test(rho: DensityMatrix, sigma: DensityMatrix, a: np.ndarray
     """
     d = rho.dim
     t = t_operator(rho, sigma).entries
-    a = np.asarray(a, dtype=complex)
+    a = require_finite(a, "contraction A", complex)
     if a.shape != (d, d):
         raise ValidationError(f"contraction must be {d}x{d}, got {a.shape}")
-    require_finite(a, "contraction A")
     scale = max(1.0, np.linalg.norm(t))
     _, sv, qh = np.linalg.svd(a)
     if sv[0] > 1.0 + 1e-10:
@@ -216,12 +212,11 @@ def mixture_reverse_test(
     """
     if not components:
         raise ValidationError("mixture needs at least one component")
-    lams = np.array([lam for _, lam, _ in components])
-    mus = np.array([mu for _, _, mu in components])
+    for weight in (x for _, lam, mu in components for x in (lam, mu)):
+        require_real("mixture weight", weight, -1e-12)
+    lams, mus = np.array([(lam, mu) for _, lam, mu in components]).T
     if abs(lams.sum() - 1.0) > 1e-9 or abs(mus.sum() - 1.0) > 1e-9:
         raise ValidationError("mixture weights must each sum to 1")
-    if np.any(lams < -1e-12) or np.any(mus < -1e-12):
-        raise ValidationError("mixture weights must be nonnegative")
     dim = components[0][0].dim
     if any(rt.dim != dim for rt, _, _ in components):
         raise ValidationError("component tests must share the Hilbert dimension")

@@ -10,7 +10,7 @@ Parallel trials should use distinct (seed, stream) pairs via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +37,15 @@ def require_integer(name: str, value, least: int | None, what: str = "an integer
     if isinstance(value, bool) or not isinstance(value, Integral) or (least is not None and value < least):
         bound = "" if least is None else f" >= {least}"
         raise ValidationError(f"{name} must be {what}{bound}, got {value!r}")
+
+
+def require_real(name: str, value, least: float | None = None) -> None:
+    """ValidationError naming ``name`` unless ``value`` is a finite real >= least (any finite real when
+    least is None); numpy floats count, bool does not."""
+    real = not isinstance(value, bool) and isinstance(value, Real) and -np.inf < value < np.inf
+    if not real or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValidationError(f"{name} must be a finite real{bound}, got {value!r}")
 
 
 def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
@@ -97,8 +106,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        require_finite(a, "state vector")
+        a = require_finite(self.amplitudes, "state vector", complex).reshape(-1)
         n = np.linalg.norm(a)
         if abs(n - 1.0) > 1e-8:
             raise ValidationError(f"state vector norm {n} deviates from 1")
@@ -121,8 +129,7 @@ class ProbDist:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        require_finite(w, "probability vector")
+        w = require_finite(self.weights, "probability vector", float).reshape(-1)
         if w.min(initial=0.0) < -1e-10:
             raise ValidationError(f"negative weight {w.min()} in probability vector")
         w = np.maximum(w, 0.0)
@@ -146,9 +153,9 @@ class SignedVector:
     total: float = 0.0
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).reshape(-1)
-        require_finite(v, "signed vector")
-        if not abs(v.sum() - self.total) <= 1e-9:  # a NaN or infinite total fails
+        v = require_finite(self.values, "signed vector", float).reshape(-1)
+        require_real("declared total", self.total)
+        if abs(v.sum() - self.total) > 1e-9:
             raise ValidationError(f"values sum to {v.sum()}, declared total {self.total}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -337,8 +344,7 @@ def measure(effects: Sequence, rho: DensityMatrix) -> ProbDist:
     mats = [e.entries if isinstance(e, HermitianMatrix) else np.asarray(e, dtype=complex) for e in effects]
     if any(m.shape != (rho.dim, rho.dim) for m in mats):
         raise DimensionMismatchError("effect dimensions do not match the state")
-    mats = np.array(mats, dtype=complex).reshape(-1, rho.dim, rho.dim)
-    require_finite(mats, "effect")
+    mats = require_finite(mats, "effect", complex).reshape(-1, rho.dim, rho.dim)
     if np.linalg.norm(mats.sum(axis=0) - np.eye(rho.dim)) > 1e-8:
         raise ValidationError("effects do not sum to the identity (incomplete POVM)")
     if np.linalg.norm(mats - mats.conj().swapaxes(1, 2), axis=(1, 2)).max() > HERMITIAN_TOL:

@@ -8,6 +8,7 @@ from revfid.linalg import (
     ZERO_ROUNDOFF_FACTOR,
     HermitianMatrix,
     eig_hermitian,
+    eigh_upper,
     geometric_mean,
     matrix_sqrt,
     trace_norm,
@@ -41,6 +42,28 @@ def test_eig_pauli_x():
         col = dec.frame[:, i]
         overlap = abs(np.vdot(col, target / np.sqrt(2)))
         assert overlap == pytest.approx(1.0, abs=1e-12)
+
+
+def test_eigh_upper_is_numpys_eigh_bit_for_bit():
+    # eigh_upper is numpy's private heevd gufunc: a release that renames or changes it fails here
+    rng = np.random.default_rng(2)
+    shapes = [(d, d) for d in range(2, 7)] + [(5, 4, 4)]
+    for shape in shapes:
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a = g + g.conj().swapaxes(-1, -2)
+        for got, want in zip(eigh_upper(a), np.linalg.eigh(a, UPLO="U")):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+def test_eigh_upper_returns_nan_where_eigh_raises():
+    # the solve of an all-NaN matrix does not converge: eigh raises, eigh_upper passes NaN on
+    a = np.full((3, 3), np.nan, dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.eigh(a)
+    with np.errstate(invalid="ignore"):
+        w, v = eigh_upper(a)
+    assert np.isnan(w).all() and np.isnan(v).all()
 
 
 def test_eig_reconstruct():

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from revfid.divergences import (
+    OperatorMonotoneSpec,
     classical_fidelity,
     f_min,
     f_min_pure,
+    quasi_entropy_comparison,
     t_operator,
     uhlmann_fidelity,
 )
@@ -25,6 +27,7 @@ from revfid.reverse_tests import (
 )
 from revfid.states import (
     ProbDist,
+    SignedVector,
     make_density,
     random_density,
     random_pure,
@@ -236,6 +239,32 @@ def test_mixture_weights_validated():
     rt = minimal_reverse_test(rho, sigma)
     with pytest.raises(ValidationError):
         mixture_reverse_test([(rt, 0.5, 1.0), (rt, 0.4, 0.0)])
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, "0.5", None, -0.5])
+def test_mixture_rejects_non_finite_non_numeric_and_negative_weights(weight):
+    # a NaN weight passed the sum and sign checks (NaN compares false) and failed later in ProbDist
+    rt = minimal_reverse_test(*qubit_pair(1))
+    for comps in ([(rt, weight, 0.5), (rt, 0.5, 0.5)], [(rt, 0.5, 0.5), (rt, 0.5, weight)]):
+        with pytest.raises(ValidationError, match=r"^mixture weight must be a finite real >= -1e-12, got "):
+            mixture_reverse_test(comps)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda rho, sigma: SignedVector([0.0, 0.0], total="0"), "declared total"),
+        (lambda rho, sigma: SignedVector([0.0, 0.0], total=None), "declared total"),
+        (lambda rho, sigma: OperatorMonotoneSpec.power("0.5"), "power exponent"),
+        (lambda rho, sigma: quasi_entropy_comparison(rho, sigma, "0.5"), "alpha"),
+        (lambda rho, sigma: ProbDist(["a", "b"]), "probability vector"),
+        (lambda rho, sigma: general_reverse_test(rho, sigma, "x"), "contraction A"),
+    ],
+    ids=["total-str", "total-none", "power-str", "alpha-str", "probdist-str", "contraction-str"],
+)
+def test_non_numeric_input_is_a_validation_error_naming_it(call, name):
+    with pytest.raises(ValidationError, match=f"^{name} "):
+        call(*qubit_pair(3))
 
 
 def test_hidden_pair_commuting_is_identity():
