@@ -15,6 +15,7 @@ import sys
 import time
 import zlib
 from dataclasses import asdict, dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -106,7 +107,10 @@ class RunConfig:
         for name in DEFAULT_TOLERANCES:
             if name not in self.tolerances:
                 raise ValidationError(f"missing tolerance {name!r}")
-            if math.isnan(self.tolerances[name]):
+            value = self.tolerances[name]  # +-inf are valid: they force or forgive every check
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValidationError(f"tolerance {name!r} must be a real number, got {value!r}")
+            if math.isnan(value):
                 raise ValidationError(f"tolerance {name!r} is NaN")
 
 

@@ -127,8 +127,8 @@ class OperatorMonotoneSpec:
             if not 0.0 < self.alpha <= 1.0:
                 raise ValidationError(f"power exponent must lie in (0, 1], got {self.alpha}")
         elif self.kind == "custom":
-            if self.fn is None:
-                raise ValidationError("custom spec needs a callable")
+            if not callable(self.fn):
+                raise ValidationError(f"custom spec needs a callable, got {type(self.fn).__name__}")
         else:
             raise ValidationError(f"unknown operator-monotone kind {self.kind!r}")
 
@@ -148,12 +148,16 @@ class OperatorMonotoneSpec:
         return float(self._evaluate(np.asarray(t, dtype=float)))
 
     def _evaluate(self, t: np.ndarray) -> np.ndarray:
-        """f at each entry of t, the power family as max(t, 0)^alpha; DomainError where f is not finite."""
+        """f at each entry of t, the power family as max(t, 0)^alpha; DomainError where f is not a finite real."""
         if self.kind == "power":
             ft = np.maximum(t, 0.0) ** self.alpha
         else:
             with np.errstate(all="ignore"):
-                ft = np.array([self.fn(x) for x in t.flat], dtype=float).reshape(t.shape)
+                values = [self.fn(x) for x in t.flat]
+            try:
+                ft = np.array(values, dtype=float).reshape(t.shape)
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"operator-monotone map output is not one real number per point: {exc}") from None
         bad = ~np.isfinite(ft)
         if bad.any():
             raise DomainError(f"operator-monotone map is not finite at {t[bad][0]!r}")

@@ -25,6 +25,7 @@ from .states import (
     _ginibre,
     make_density,
     make_density_stack,
+    require_instance,
     require_integer,
     rng_for,
 )
@@ -40,6 +41,8 @@ class TangentPoint:
     velocity: HermitianMatrix
 
     def __post_init__(self):
+        require_instance("state", self.state, DensityMatrix)
+        require_instance("velocity", self.velocity, HermitianMatrix)
         if self.velocity.dim != self.state.dim:
             raise ValidationError("velocity dimension does not match the state")
         if abs(np.trace(self.velocity.entries).real) > 1e-9:
@@ -63,11 +66,11 @@ class FisherReport:
 
 @dataclass(frozen=True)
 class Curve:
-    """Sampled path of states on a strictly increasing grid in [0, 1]."""
+    """Sampled path of states, each with its velocity d rho/dt, on a strictly increasing grid in [0, 1]."""
 
     times: np.ndarray
     states: tuple[DensityMatrix, ...]
-    velocities: tuple[HermitianMatrix, ...] | None = None
+    velocities: tuple[HermitianMatrix, ...]
 
     def __post_init__(self):
         t = require_finite(self.times, "time grid", float)  # NaN passes the ordering check below
@@ -75,16 +78,20 @@ class Curve:
             raise ValidationError("times and states must have equal length")
         if len(t) > 1 and np.any(np.diff(t) <= 0):
             raise ValidationError("time grid must be strictly increasing")
-        if self.velocities is not None and len(self.velocities) != len(self.states):
+        if not all(isinstance(x, DensityMatrix) for x in self.states):
+            raise ValidationError("states must be DensityMatrix objects")
+        vels = self.velocities
+        if not isinstance(vels, (tuple, list)) or not all(isinstance(x, HermitianMatrix) for x in vels):
+            raise ValidationError("velocities must be a tuple of HermitianMatrix objects, one per state")
+        if len(self.velocities) != len(self.states):
             raise ValidationError("velocities length must match states")
-        dims = {x.dim for x in (*self.states, *(self.velocities or ()))}
+        dims = {x.dim for x in (*self.states, *self.velocities)}
         if len(dims) > 1:
             raise DimensionMismatchError(f"curve states and velocities mix dims {sorted(dims)}")
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", tuple(self.states))
-        if self.velocities is not None:
-            object.__setattr__(self, "velocities", tuple(self.velocities))
+        object.__setattr__(self, "velocities", tuple(self.velocities))
 
 
 @dataclass(frozen=True)
@@ -204,37 +211,6 @@ def _arc(cols: np.ndarray, a0: np.ndarray, a1: np.ndarray, theta: float, phi: np
     return amp, states, (cols * (2.0 * amp * damp / norm)[:, None, :]) @ cols.conj().T
 
 
-def _fd_velocities(curve: Curve) -> np.ndarray:
-    """Central differences, one-sided at the endpoints, as an (n, d, d) stack.
-
-    On uniform grids with enough samples the interior stencil is upgraded
-    to fourth order so panel refinement converges below quadrature noise.
-    """
-    t = curve.times
-    m = np.array([s.mat for s in curve.states])
-    steps = np.diff(t)
-    d = np.empty_like(m)
-    d[1:-1] = (m[2:] - m[:-2]) / (t[2:] - t[:-2])[:, None, None]
-    if len(t) >= 5 and np.ptp(steps) < 1e-12 * steps[0]:
-        h = steps[0]
-        d[0] = (-3 * m[0] + 4 * m[1] - m[2]) / (2 * h)
-        d[-1] = (3 * m[-1] - 4 * m[-2] + m[-3]) / (2 * h)
-        d[2:-2] = (m[:-4] - 8 * m[1:-3] + 8 * m[3:-1] - m[4:]) / (12 * h)
-    else:
-        d[0] = (m[1] - m[0]) / (t[1] - t[0])
-        d[-1] = (m[-1] - m[-2]) / (t[-1] - t[-2])
-    return d
-
-
-def _resample(curve: Curve, panels: int) -> Curve:
-    """Linear interpolation of the states onto a uniform panels+1 grid."""
-    times = np.linspace(0.0, 1.0, panels + 1)
-    i = np.clip(np.searchsorted(curve.times, times, side="right") - 1, 0, len(curve.times) - 2)
-    u = ((times - curve.times[i]) / (curve.times[i + 1] - curve.times[i]))[:, None, None]
-    m = np.array([s.mat for s in curve.states])
-    return Curve(times, make_density_stack((1.0 - u) * m[i] + u * m[i + 1])[0])
-
-
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     """Composite Simpson's rule over pairs of intervals of a strictly increasing grid of at
     least 3 samples; with an even count the last interval takes Cartwright's (2017)
@@ -259,12 +235,8 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
-def curve_length(curve: Curve, metric: str = "rld", panels: int | None = None) -> float:
-    """Integral of sqrt(J_t) along the curve by composite Simpson quadrature; panels
-    (None, or an integer >= 2) first resamples the states onto a uniform grid."""
-    if panels is not None:
-        require_integer("panels", panels, 2, "None or an integer")
-        curve = _resample(curve, panels)
+def curve_length(curve: Curve, metric: str = "rld") -> float:
+    """Integral of sqrt(J_t) along the curve by composite Simpson quadrature."""
     if len(curve.states) < 3:
         if len(curve.states) == 1:
             return 0.0
@@ -275,16 +247,15 @@ def curve_length(curve: Curve, metric: str = "rld", panels: int | None = None) -
 def curve_speeds(curve: Curve, metric: str = "rld") -> np.ndarray:
     """sqrt(J_t) at every sample, in each state's stored eigenbasis.
 
-    Velocities missing from the curve are filled by finite differences. Where
-    an eigenvalue lies below the full-rank cut and the velocity vanishes on
-    its eigenvector, J is 0/0: the speed there is extrapolated linearly from
+    Where an eigenvalue lies below the full-rank cut and the velocity vanishes
+    on its eigenvector, J is 0/0: the speed there is extrapolated linearly from
     the regular samples, which is exact on the constant-speed f_min geodesic.
     A velocity component off the support of a singular state has no finite
     metric.
     """
     if metric not in ("sld", "rld"):
         raise ValidationError(f"metric must be 'sld' or 'rld', got {metric!r}")
-    vels = _fd_velocities(curve) if curve.velocities is None else np.array([v.entries for v in curve.velocities])
+    vels = np.array([v.entries for v in curve.velocities])
     w = np.array([s.spectrum.eigenvalues for s in curve.states])
     v = np.array([s.spectrum.frame for s in curve.states])
     d = np.abs(v.conj().swapaxes(1, 2) @ vels @ v) ** 2

@@ -33,6 +33,7 @@ from .states import (
     _prechecked,
     _prechecked_dist,
     _rebuilt,
+    require_instance,
     require_real,
     rng_for,
 )
@@ -50,9 +51,8 @@ class ReverseTest:
     q: ProbDist
 
     def __post_init__(self):
-        for name in ("p", "q"):
-            if not isinstance(getattr(self, name), ProbDist):
-                raise ValidationError(f"{name} must be a ProbDist, got {type(getattr(self, name)).__name__}")
+        require_instance("p", self.p, ProbDist)
+        require_instance("q", self.q, ProbDist)
         n = require_finite(self.prep, "prep matrix", complex)
         if n.ndim != 2:
             raise ValidationError("prep must be a dim x m matrix")
@@ -126,6 +126,7 @@ def minimal_reverse_test(rho: DensityMatrix, sigma: DensityMatrix) -> ReverseTes
 
 def sample_contraction(t: HermitianMatrix, seed: int) -> np.ndarray:
     """Random contraction A with TA = A†T >= 0 and ||A||_op <= 1."""
+    require_instance("t", t, HermitianMatrix)
     w, v = np.linalg.eigh(t.entries)
     if w[0] <= STRICT_POS_FACTOR * max(1.0, w[-1]):
         raise DomainError("sample_contraction requires strictly positive T")
@@ -212,6 +213,10 @@ def mixture_reverse_test(
     """
     if not components:
         raise ValidationError("mixture needs at least one component")
+    for c in components:
+        if not isinstance(c, tuple) or len(c) != 3:
+            raise ValidationError(f"mixture component must be a (test, lambda, mu) tuple, got {type(c).__name__}")
+        require_instance("mixture component test", c[0], ReverseTest)
     for weight in (x for _, lam, mu in components for x in (lam, mu)):
         require_real("mixture weight", weight, -1e-12)
     lams, mus = np.array([(lam, mu) for _, lam, mu in components]).T

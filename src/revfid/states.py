@@ -31,12 +31,18 @@ from .linalg import (
 )
 
 
-def require_integer(name: str, value, least: int | None, what: str = "an integer") -> None:
+def require_integer(name: str, value, least: int | None) -> None:
     """ValidationError naming ``name`` unless ``value`` is an integer >= least (any integer
     when least is None); numpy integers count, bool does not."""
     if isinstance(value, bool) or not isinstance(value, Integral) or (least is not None and value < least):
         bound = "" if least is None else f" >= {least}"
-        raise ValidationError(f"{name} must be {what}{bound}, got {value!r}")
+        raise ValidationError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def require_instance(name: str, value, cls: type) -> None:
+    """ValidationError naming ``name`` unless ``value`` is an instance of ``cls``."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 def require_real(name: str, value, least: float | None = None) -> None:

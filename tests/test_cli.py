@@ -337,6 +337,17 @@ def test_run_config_rejects_missing_and_unknown_tolerances():
         RunConfig(tolerances={**DEFAULT_TOLERANCES, "nonsense": 1.0})
 
 
+@pytest.mark.parametrize("value", ["x", None, 1j, True])
+def test_run_config_rejects_non_numeric_tolerances(value):
+    # math.isnan raised a raw TypeError: must be real number, not str
+    with pytest.raises(ValidationError, match=rf"^tolerance 'monotonicity' must be a real number, got {value!r}$"):
+        RunConfig(tolerances={**DEFAULT_TOLERANCES, "monotonicity": value})
+    with pytest.raises(ValidationError, match="^tolerance 'monotonicity' is NaN$"):
+        RunConfig(tolerances={**DEFAULT_TOLERANCES, "monotonicity": math.nan})
+    for bound in (math.inf, -math.inf, np.float64(1e-9), 0):
+        RunConfig(tolerances={**DEFAULT_TOLERANCES, "monotonicity": bound})
+
+
 def test_suite_nan_tolerance_exits_2(capsys):
     # value > nan is always false: a NaN tolerance would switch every check off
     code = main(["suite", "monotonicity", "--trials", "1", "--tol", "monotonicity=nan"])

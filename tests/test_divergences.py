@@ -121,6 +121,26 @@ def test_operator_monotone_spec_validation():
     assert OperatorMonotoneSpec.sqrt()(4.0) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("fn", ["sqrt", 0.5])
+def test_custom_spec_needs_a_callable(fn):
+    # a string reached evaluation and raised a raw TypeError: 'str' object is not callable
+    with pytest.raises(ValidationError, match=rf"^custom spec needs a callable, got {type(fn).__name__}$"):
+        OperatorMonotoneSpec.custom(fn)
+
+
+@pytest.mark.parametrize(
+    "fn, shown",
+    [(lambda t: "a", "could not convert string to float: 'a'"), (lambda t: 1j * t, "not 'complex'")],
+    ids=["str", "complex"],
+)
+def test_custom_map_output_that_is_not_a_real_number_is_a_domain_error(fn, shown):
+    # np.array(..., dtype=float) raised a raw ValueError or TypeError inside _evaluate
+    rho, sigma = random_density(2, 2, 1), random_density(2, 2, 2)
+    with pytest.raises(DomainError, match="^operator-monotone map output is not one real number per point: ") as err:
+        f_f_min(rho, sigma, OperatorMonotoneSpec.custom(fn))
+    assert shown in str(err.value)
+
+
 def test_generalized_classical_power_half_is_fidelity():
     p = ProbDist(np.array([0.36, 0.64]))
     q = ProbDist(np.array([0.64, 0.36]))

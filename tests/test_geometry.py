@@ -34,7 +34,6 @@ from revfid.geometry import (
     tangent_reverse_estimation,
 )
 from revfid.geometry import (
-    _fd_velocities,
     _gl_nodes,
     _integrate_flow,
     _lyapunov_solve,
@@ -257,9 +256,10 @@ def test_fmin_geodesic_rld_matrices_commute():
 
 def test_curve_length_needs_samples():
     rho = random_density(2, 2, 1)
+    still = HermitianMatrix(np.zeros((2, 2)))
     with pytest.raises(ValidationError):
         curve_length(
-            Curve(np.array([0.0, 1.0]), (rho, rho)), "rld"
+            Curve(np.array([0.0, 1.0]), (rho, rho), (still, still)), "rld"
         )
 
 
@@ -273,8 +273,9 @@ def test_curve_length_needs_samples():
     ],
 )
 def test_curve_rejects_malformed_grids(times, n_states, n_velocities, match):
+    # n_velocities None: one velocity per state
     rho = random_density(2, 2, 1)
-    vels = None if n_velocities is None else (HermitianMatrix(np.zeros((2, 2))),) * n_velocities
+    vels = (HermitianMatrix(np.zeros((2, 2))),) * (n_states if n_velocities is None else n_velocities)
     with pytest.raises(ValidationError, match=match):
         Curve(np.array(times), (rho,) * n_states, vels)
 
@@ -291,14 +292,21 @@ def test_curve_rejects_non_finite_times(bad):
 def test_curve_rejects_mixed_dims(velocity_dim):
     # unchecked, curve_length failed later with a raw numpy ValueError
     rho = random_density(2, 2, 1)
+    # velocity_dim None: the states mix dims, each with a zero velocity of its own dim
     states = (rho, rho, random_density(3, 3, 1)) if velocity_dim is None else (rho,) * 3
-    vels = None if velocity_dim is None else (HermitianMatrix(np.zeros((velocity_dim,) * 2)),) * 3
+    vels = tuple(HermitianMatrix(np.zeros((velocity_dim or s.dim,) * 2)) for s in states)
     with pytest.raises(DimensionMismatchError):
         Curve(np.array([0.0, 0.5, 1.0]), states, vels)
 
 
 def test_curve_length_of_one_state_is_zero():
-    assert curve_length(Curve(np.array([0.0]), (random_density(2, 2, 1),)), "rld") == 0.0
+    still = HermitianMatrix(np.zeros((2, 2)))
+    assert curve_length(Curve(np.array([0.0]), (random_density(2, 2, 1),), (still,)), "rld") == 0.0
+
+
+def test_curve_has_no_default_velocities():
+    with pytest.raises(TypeError, match="velocities"):
+        Curve(np.array([0.0]), (random_density(2, 2, 1),))
 
 
 def test_fmin_geodesic_needs_two_samples():
@@ -333,37 +341,39 @@ def test_coin_great_circle_length_pi():
     assert curve_length(curve, "rld") == pytest.approx(math.pi, abs=1e-6)
 
 
-def test_curve_length_fd_velocities():
-    rho = random_density(2, 2, 4)
-    sigma = random_density(2, 2, 5)
-    fine = fmin_geodesic(rho, sigma, 201)
-    bare = Curve(fine.times, fine.states)  # velocities dropped -> FD path
-    with_v = curve_length(fine, "rld")
-    without_v = curve_length(bare, "rld")
-    assert abs(with_v - without_v) < 1e-3
+def _central_difference_error(curve):
+    """max over the interior samples of ||(rho_{i+1} - rho_{i-1}) / (t_{i+1} - t_{i-1}) - v_i||_F,
+    relative to max ||v_i||_F: the attached velocities against a plain central difference of the states."""
+    t = curve.times
+    m = np.array([s.mat for s in curve.states])
+    v = np.array([x.entries for x in curve.velocities])
+    fd = (m[2:] - m[:-2]) / (t[2:] - t[:-2])[:, None, None]
+    return np.max(np.linalg.norm(fd - v[1:-1], axis=(1, 2))) / np.max(np.linalg.norm(v, axis=(1, 2)))
 
 
-def test_curve_length_panel_refinement():
-    rho = random_density(2, 2, 8)
-    sigma = random_density(2, 2, 9)
-    curve = fmin_geodesic(rho, sigma, 129)
-    bare = Curve(curve.times, curve.states)
-    l64 = curve_length(bare, "rld", panels=64)
-    l128 = curve_length(bare, "rld", panels=128)
-    assert abs(l64 - l128) < 1e-5
+# (dim, seed) pairs random_density(d, d, s) -> random_density(d, d, s + 100) whose RLD flow
+# completes 100 steps; (2, 8) and (3, 22) run close to the cone's boundary
+RLD_FLOW_PAIRS = [(2, 0), (2, 1), (2, 8), (3, 6), (3, 22), (4, 24), (4, 26)]
 
 
-@pytest.mark.parametrize("panels", [0, 1, -3, 2.5, True])
-def test_curve_length_rejects_bad_panels(panels):
-    curve = fmin_geodesic(random_density(2, 2, 1), random_density(2, 2, 2), 9)
-    with pytest.raises(ValidationError, match="panels must be None or an integer >= 2"):
-        curve_length(curve, "rld", panels=panels)
-
-
-def test_curve_length_accepts_integer_panels():
-    curve = fmin_geodesic(random_density(2, 2, 1), random_density(2, 2, 2), 9)
-    assert curve_length(curve, "rld", panels=np.int64(8)) == curve_length(curve, "rld", panels=8)
-    assert curve_length(curve, "rld", panels=2) > 0.0
+@pytest.mark.parametrize("build", ["fmin_geodesic", "commutative_geodesic_flow", "rld_geodesic_flow"])
+def test_curve_velocities_are_the_derivative_of_the_states(build):
+    # the central difference errs by h^2 rho^(3) / 6 + O(h^4): on the grid steps h and h/2 the error is at
+    # most 2 h^2 (measured at most 1.21 h^2 on 90 geodesics, 1.2 h^2 on 90 commutative and 1.65 h^2 on 29
+    # RLD flows, d = 2..4, seeds 0..29) and falls about fourfold (3.86 to 4.75 measured) when h halves
+    pairs = RLD_FLOW_PAIRS if build == "rld_geodesic_flow" else [(d, s) for d in (2, 3, 4) for s in range(4)]
+    for d, s in pairs:
+        rho, sigma = random_density(d, d, s), random_density(d, d, s + 100)
+        if build == "fmin_geodesic":
+            coarse, fine = (fmin_geodesic(rho, sigma, n) for n in (33, 65))
+        else:
+            flow = commutative_geodesic_flow if build == "commutative_geodesic_flow" else rld_geodesic_flow
+            start, total = geodesic_start(rho, sigma)
+            coarse, fine = (flow(start, total / n, n) for n in (100, 200))
+        h = coarse.times[1] - coarse.times[0]
+        e_coarse, e_fine = _central_difference_error(coarse), _central_difference_error(fine)
+        assert e_coarse <= 2.0 * h * h
+        assert 3.5 <= e_coarse / e_fine <= 5.0
 
 
 def _quadrature_grids(n, rng, irregular=1):
@@ -398,24 +408,16 @@ def test_curve_length_is_scipy_simpson_of_the_speeds():
         dim = 2 + seed % 3
         for n in (17, 18, 33, 34):
             curve = fmin_geodesic(random_density(dim, dim, seed), random_density(dim, dim, seed + 40), n)
-            for c in (curve, Curve(curve.times, curve.states)):  # given and finite-difference velocities
-                for metric in ("rld", "sld"):
-                    assert curve_length(c, metric) == simpson(curve_speeds(c, metric), x=c.times)
-    bare = Curve(curve.times, curve.states)
-    for panels in (8, 9):
-        grid = geometry._resample(bare, panels)
-        assert curve_length(bare, "rld", panels=panels) == simpson(curve_speeds(grid, "rld"), x=grid.times)
+            for metric in ("rld", "sld"):
+                assert curve_length(curve, metric) == simpson(curve_speeds(curve, metric), x=curve.times)
 
 
 def _curve_length_by_sample(curve, metric="rld"):
     """Independent route: one eigh per sample, in curve order."""
-    vels = [v.entries for v in curve.velocities] if curve.velocities is not None else None
-    if vels is None:
-        vels = [v for v in _fd_velocities(curve)]
     speeds = []
-    for state, vel in zip(curve.states, vels):
+    for state, vel in zip(curve.states, curve.velocities):
         w, v = np.linalg.eigh(state.mat)
-        d = v.conj().T @ vel @ v
+        d = v.conj().T @ vel.entries @ v
         w = np.maximum(w, 1e-290)
         if metric == "rld":
             j = float(np.sum(np.abs(d) ** 2 / w[None, :]))
@@ -432,9 +434,8 @@ def test_curve_length_matches_sample_loop(metric):
     for seed in range(9):
         dim = 2 + seed % 3
         curve = fmin_geodesic(random_density(dim, dim, seed), random_density(dim, dim, seed + 40), 17)
-        for c in (curve, Curve(curve.times, curve.states)):  # given and finite-difference velocities
-            ref = _curve_length_by_sample(c, metric)
-            assert abs(curve_length(c, metric) - ref) <= 1e-12 * ref
+        ref = _curve_length_by_sample(curve, metric)
+        assert abs(curve_length(curve, metric) - ref) <= 1e-12 * ref
 
 
 def test_curve_length_velocity_off_support_matches_sample_loop():

@@ -13,6 +13,7 @@ from revfid.divergences import (
     uhlmann_fidelity,
 )
 from revfid.errors import DimensionMismatchError, DomainError, ValidationError
+from revfid.geometry import Curve, TangentPoint
 from revfid.linalg import HermitianMatrix
 from revfid.reverse_tests import (
     ReverseTest,
@@ -264,6 +265,38 @@ def test_mixture_rejects_non_finite_non_numeric_and_negative_weights(weight):
 )
 def test_non_numeric_input_is_a_validation_error_naming_it(call, name):
     with pytest.raises(ValidationError, match=f"^{name} "):
+        call(*qubit_pair(3))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda rho, sigma: TangentPoint(rho.mat, HermitianMatrix(np.zeros((2, 2)))), "state"),
+        (lambda rho, sigma: TangentPoint(rho, np.zeros((2, 2))), "velocity"),
+        (lambda rho, sigma: Curve(np.array([0.0, 0.5, 1.0]), (rho,) * 3, (np.zeros((2, 2)),) * 3), "velocities"),
+        (lambda rho, sigma: Curve(np.array([0.0, 0.5, 1.0]), (rho,) * 3, None), "velocities"),
+        (lambda rho, sigma: Curve(np.array([0.0]), (rho,), 5), "velocities"),
+        (lambda rho, sigma: Curve(np.array([0.0]), (rho.mat,), (HermitianMatrix(np.zeros((2, 2))),)), "states"),
+        (lambda rho, sigma: sample_contraction(np.eye(2), 1), "t"),
+        (lambda rho, sigma: mixture_reverse_test([minimal_reverse_test(rho, sigma)]), "mixture component"),
+        (lambda rho, sigma: mixture_reverse_test([(rho, 1.0, 1.0)]), "mixture component test"),
+    ],
+    ids=[
+        "tangent-state",
+        "tangent-velocity",
+        "curve-velocities",
+        "curve-velocities-none",
+        "curve-velocities-int",
+        "curve-states",
+        "contraction-t",
+        "mixture-bare",
+        "mixture-test",
+    ],
+)
+def test_wrong_argument_type_is_a_validation_error_naming_it(call, name):
+    # a wrong type raised a raw AttributeError or TypeError from deeper in the call; None velocities were
+    # the finite-difference input of a Curve, which is removed
+    with pytest.raises(ValidationError, match=f"^{name} must be "):
         call(*qubit_pair(3))
 
 
