@@ -40,6 +40,9 @@ EQUAL_PAIR_FIDELITY = 1.0 - 1e-12
 # np.linalg.eigh(a, UPLO="U")'s LAPACK heevd gufunc without its ~5 µs wrapper; private, so pinned in test_linalg.
 # It takes (..., d, d) stacks, and a solve that does not converge gives NaN where np.linalg.eigh raises.
 eigh_upper = _umath_linalg.eigh_up
+# np.linalg.solve(a, b)'s LAPACK gesv gufunc for a 1-D right side b, without its wrapper; private, so pinned in
+# test_linalg. A singular system gives NaN where np.linalg.solve raises.
+solve1 = _umath_linalg.solve1
 
 
 def zero_roundoff(x: np.ndarray) -> np.ndarray:

@@ -506,6 +506,31 @@ def test_flow_rejects_malformed_l(flow, l, error, match):
         flow(GeodesicState(make_density(np.diag([0.5, 0.5])), l), 0.01, 5)
 
 
+@pytest.mark.parametrize(
+    "state_as_array, l, match",
+    [
+        (True, np.diag([1.0, -1.0]), "^state must be a DensityMatrix, got ndarray$"),
+        (False, "L", "^L must be an array of numbers$"),
+        (False, [[1.0, "x"], [0.0, -1.0]], "^L must be an array of numbers$"),
+    ],
+)
+def test_geodesic_state_names_a_malformed_field(state_as_array, l, match):
+    # unchecked, a flow raised a raw AttributeError (no attribute 'mat') or numpy's ValueError
+    rho = make_density(np.diag([0.5, 0.5]))
+    with pytest.raises(ValidationError, match=match):
+        GeodesicState(rho.mat if state_as_array else rho, l)
+
+
+@pytest.mark.parametrize("call", [fmin_geodesic, geodesic_start, fr_estimate])
+@pytest.mark.parametrize("which", ["rho", "sigma"])
+def test_pair_constructions_name_an_array_state(call, which):
+    # unchecked, a state given as its matrix raised a raw AttributeError
+    pair = {"rho": random_density(2, 2, 1), "sigma": random_density(2, 2, 2)}
+    pair[which] = pair[which].mat
+    with pytest.raises(ValidationError, match=f"^{which} must be a DensityMatrix, got ndarray$"):
+        call(pair["rho"], pair["sigma"])
+
+
 @pytest.mark.parametrize("flow", [commutative_geodesic_flow, rld_geodesic_flow])
 def test_list_start_behaves_like_array_start(flow):
     start, _ = geodesic_start(random_density(3, 3, 11), random_density(3, 3, 12))
@@ -827,7 +852,7 @@ def test_flow_zero_steps_and_backward_steps(flow):
 @pytest.mark.parametrize("dt", [1.0, 2.0])
 def test_rld_flow_non_finite_stage_is_the_steps_domain_error(dt):
     # L and rho stay diagonal, so the residual is 0 until l overflows; the
-    # non-finite stage (at dt = 2 it reaches the eigensolve) must end in the
+    # non-finite stage (at dt = 2 it reaches the LU solve) must end in the
     # step's DomainError, not a LAPACK error
     with pytest.raises(DomainError, match=r"step \d+ rejected: constraint residual nan"):
         rld_geodesic_flow(_unit_start(), dt, 6)
@@ -845,11 +870,24 @@ def test_rld_stage_passes_non_finite_on(bad):
 
 
 def test_rld_stage_unconverged_eigensolve_is_not_finite(monkeypatch):
-    # an eigensolve that does not converge returns NaN where np.linalg.eigh would raise, and the stage is lost
-    monkeypatch.setattr(geometry, "eigh_upper", lambda a: (np.full(2, np.nan), np.full((2, 2), np.nan + 0j)))
+    # above KRONECKER_STAGE_MAX_DIM the stage runs eigh_upper: an eigensolve that does not converge
+    # returns NaN where np.linalg.eigh would raise, and the stage is lost
+    dim = geometry.KRONECKER_STAGE_MAX_DIM + 1
+    monkeypatch.setattr(geometry, "eigh_upper", lambda a: (np.full(dim, np.nan), np.full((dim, dim), np.nan + 0j)))
+    r, l, _ = _stage_point(dim, 0)
     with np.errstate(invalid="ignore"):  # as the integrator runs its stages
-        dl = _rld_stage(np.eye(2) / 2, np.diag([1.0, -1.0]).astype(complex))
+        dl = _rld_stage(r, l)
     assert np.isnan(dl).all()
+
+
+def test_rld_stage_singular_solve_is_the_steps_domain_error():
+    # up to KRONECKER_STAGE_MAX_DIM the stage is one LU solve: at r = 0 its Kronecker form is
+    # singular, the solve returns NaN where np.linalg.solve would raise, and the step is rejected
+    dim = geometry.KRONECKER_STAGE_MAX_DIM
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(_rld_stage(np.zeros((dim, dim), complex), np.eye(dim, dtype=complex))).all()
+    with pytest.raises(DomainError, match="step 1 rejected: constraint residual nan"):
+        _flow_with_stage(lambda r, m: _rld_stage(np.zeros_like(r), m), _unit_start(), 0.01, 3)
 
 
 def test_integrate_flow_nan_derivative_is_the_steps_domain_error():
@@ -891,20 +929,20 @@ def test_rld_flow_matches_schur_route():
     # completed flows agree to rounding, amplified along the arc; where the
     # flow reaches the cone's boundary, L blows up within a few steps and the
     # two routes round the residual differently, so the abort may move a step
+    # d = 5 and 6 run the eigenbasis stage, d = 2..4 the Kronecker one
     completed = 0
-    for dim in (2, 3, 4):
-        for seed in range(20):
-            gs, total = geodesic_start(random_density(dim, dim, seed), random_density(dim, dim, seed + 500))
-            got = _flow_outcome(rld_geodesic_flow, gs, total / 500, 500)
-            ref = _flow_outcome(_schur_flow, gs, total / 500, 500)
-            assert isinstance(got, int) == isinstance(ref, int), (dim, seed)
-            if isinstance(got, int):
-                assert abs(got - ref) <= 1, (dim, seed)
-                continue
-            completed += 1
-            assert np.array_equal(got.times, ref.times)
-            for a, b in zip(got.states, ref.states):
-                assert np.abs(a.mat - b.mat).max() <= 1e-9
+    for dim, seed in [(dim, seed) for dim in (2, 3, 4) for seed in range(20)] + [(5, 0), (5, 1), (6, 0), (6, 1)]:
+        gs, total = geodesic_start(random_density(dim, dim, seed), random_density(dim, dim, seed + 500))
+        got = _flow_outcome(rld_geodesic_flow, gs, total / 500, 500)
+        ref = _flow_outcome(_schur_flow, gs, total / 500, 500)
+        assert isinstance(got, int) == isinstance(ref, int), (dim, seed)
+        if isinstance(got, int):
+            assert abs(got - ref) <= 1, (dim, seed)
+            continue
+        completed += 1
+        assert np.array_equal(got.times, ref.times)
+        for a, b in zip(got.states, ref.states):
+            assert np.abs(a.mat - b.mat).max() <= 1e-9
     assert completed >= 10
 
 
@@ -913,14 +951,14 @@ def _stage_point(dim, seed):
     rho = random_density(dim, dim, seed).mat
     l = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     r = rho + 0.05 * (l @ rho)  # an RK4 stage point: not Hermitian
-    return r, -(r @ l.conj().T @ l + r)
+    return r, l, -(r @ l.conj().T @ l + r)
 
 
 def test_lyapunov_kernel_matches_scipy():
     # the flow's stage solve: the Hermitian part of the stage point, the
     # actual (non-Hermitian) right side
     for seed in range(30):
-        r, rhs = _stage_point(2 + seed % 3, seed)
+        r, _, rhs = _stage_point(2 + seed % 3, seed)
         assert np.linalg.norm(r - r.conj().T) > 1e-3
         a = 0.5 * (r + r.conj().T)
         w, v = np.linalg.eigh(a)
@@ -928,6 +966,20 @@ def test_lyapunov_kernel_matches_scipy():
         ref = solve_sylvester(a, a, rhs)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.linalg.norm(a @ x + x @ a - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_kronecker_stage_matches_eigenbasis_stage(monkeypatch):
+    # the two sides of KRONECKER_STAGE_MAX_DIM solve the same stage equation to rounding, amplified by
+    # the condition number of X -> hX + Xh, max |w_i + w_j| / min |w_i + w_j|: up to 1.2e4 here, where
+    # some stage point's h is indefinite; the gap is at most 8.3e-16 times it on these points
+    points = [_stage_point(2 + seed % 3, seed)[:2] for seed in range(30)]
+    kron = [_rld_stage(r, l) for r, l in points]
+    monkeypatch.setattr(geometry, "KRONECKER_STAGE_MAX_DIM", 0)
+    for (r, l), got in zip(points, kron):
+        ref = _rld_stage(r, l)
+        w = np.linalg.eigvalsh(r + r.conj().T)
+        sums = np.abs(w[:, None] + w)
+        assert np.linalg.norm(got - ref) <= 1e-14 * (sums.max() / sums.min()) * np.linalg.norm(ref)
 
 
 def test_sld_fisher_matches_eigenbasis_formula():
@@ -973,7 +1025,7 @@ def test_stage_solve_satisfies_euler_lagrange():
 
 
 def test_first_stage_solve_loads_no_scipy(tmp_path):
-    # a fresh process whose first call is the stage solve: its eigensolve is numpy's own
+    # a fresh process whose first call is the stage solve: its LU solve is numpy's own
     rho, l = _unit_speed_point(1)
     np.save(tmp_path / "rho.npy", rho)
     np.save(tmp_path / "l.npy", l)

@@ -1,7 +1,8 @@
 """The runtime needs numpy only: a fresh process loads no scipy module on import,
-on the CLI, or on a general RLD flow, whose stage eigensolve is numpy's own LAPACK
-heevd gufunc. scipy is a test extra, for the tests' quadrature and Sylvester
-oracles; with it blocked the package still imports, flows and runs its CLI."""
+on the CLI, or on a general RLD flow, whose stage solve is numpy's own LAPACK
+gufunc (gesv up to d = 4, heevd above). scipy is a test extra, for the tests'
+quadrature and Sylvester oracles; with it blocked the package still imports, flows
+and runs its CLI."""
 
 import json
 import os

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from revfid.linalg import (
     eigh_upper,
     geometric_mean,
     matrix_sqrt,
+    solve1,
     trace_norm,
     zero_roundoff,
 )
@@ -64,6 +67,29 @@ def test_eigh_upper_returns_nan_where_eigh_raises():
     with np.errstate(invalid="ignore"):
         w, v = eigh_upper(a)
     assert np.isnan(w).all() and np.isnan(v).all()
+
+
+def test_solve1_is_numpys_solve_bit_for_bit():
+    # solve1 is numpy's private gesv gufunc for a 1-D right side: a release that renames or changes it fails here
+    rng = np.random.default_rng(3)
+    for d in range(1, 5):
+        n = d * d
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        got, want = solve1(a, b), np.linalg.solve(a, b)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_solve1_returns_nan_where_solve_raises():
+    # a singular system: np.linalg.solve raises, solve1 under the RLD flow's errstate passes NaN on silently
+    a, b = np.zeros((4, 4), dtype=complex), np.ones(4, dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(a, b)
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        warnings.simplefilter("error")
+        x = solve1(a, b)
+    assert np.isnan(x).all()
 
 
 def test_eig_reconstruct():
