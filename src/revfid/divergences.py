@@ -14,17 +14,29 @@ import numpy as np
 from .errors import DimensionMismatchError, DomainError, ValidationError
 from .linalg import (
     HermitianMatrix,
+    SpectralDecomposition,
     _geomean_inner,
     _psd_eigh,
     trace_norm,
     zero_roundoff,
 )
-from .states import FULL_RANK_MIN_EIG, DensityMatrix, ProbDist, PureState, _check_dims, require_real
+from .states import (
+    FULL_RANK_MIN_EIG,
+    DensityMatrix,
+    ProbDist,
+    PureState,
+    require_instance,
+    require_pair,
+    require_real,
+)
 
 _SINGULAR = " is singular (min eigenvalue {lam:.3e}); use the pure-target closed form or regularize explicitly"
 
 
-def _check_sizes(p: ProbDist, q: ProbDist) -> None:
+def _check_sizes(p: ProbDist, q, names=("p", "q"), kinds=(ProbDist, ProbDist)) -> None:
+    """require_pair for two distributions (or vectors of ``kinds``): the types, then the sizes."""
+    require_instance(names[0], p, kinds[0])
+    require_instance(names[1], q, kinds[1])
     if p.size != q.size:
         raise DimensionMismatchError(f"distribution sizes differ: {p.size} vs {q.size}")
 
@@ -38,46 +50,47 @@ def classical_fidelity(p: ProbDist, q: ProbDist) -> float:
 def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """tr sqrt(sqrt(sigma) rho sqrt(sigma)), the largest monotone extension: the trace norm of
     sqrt(rho) sqrt(sigma), the singular values of diag(w^1/2) V†U diag(s^1/2) for the stored spectra."""
-    _check_dims(rho, sigma)
+    require_pair(rho, sigma)
     rw, rs = (np.sqrt(x.spectrum.eigenvalues) for x in (rho, sigma))
     m = (rho.spectrum.frame.conj().T @ sigma.spectrum.frame) * rs * rw[:, None]
     return float(min(np.sum(np.linalg.svd(m, compute_uv=False)), 1.0))
 
 
 def _base(rho: DensityMatrix, sigma: DensityMatrix, either: bool) -> tuple[DensityMatrix, DensityMatrix, bool]:
-    """(B, other, B is sigma) after the one check pass, dims and B's full rank, for the base B = rho or, with
-    ``either``, the state with the larger least eigenvalue (rho on a tie): B^-1/2 routes err like 1/lambda_min(B)."""
-    _check_dims(rho, sigma)
+    """(B, other, B is sigma) after the T kernel's one check pass, require_pair then B's full rank, for the base
+    B = rho or, with ``either``, the state with the larger least eigenvalue (rho on a tie): B^-1/2 routes err like
+    1/lambda_min(B)."""
+    require_pair(rho, sigma)
     swapped = either and sigma.spectrum.eigenvalues[0] > rho.spectrum.eigenvalues[0]
     base, other = (sigma, rho) if swapped else (rho, sigma)
     base.require_full_rank(("sigma" if swapped else "rho") + _SINGULAR)  # formatted only if it raises
     return base, other, swapped
 
 
-def t_spectrum(rho: DensityMatrix, sigma: DensityMatrix, either: bool = False) -> tuple:
-    """T = sqrt(B^-1/2 O B^-1/2) on the base B of ``_base`` as the raw factors of one SVD, (t, L, R†, s,
-    B is sigma): for the stored spectra B = V diag(w) V† and O = U diag(s) U†, diag(w^-1/2) V†U diag(s^1/2)
-    = L diag(t) R† with t descending, so T = VL diag(t) (VL)† and sqrt(B) T = U diag(s^1/2) R L† V†;
-    s (O's kernel) and t pass through the one zero rule, linalg.zero_roundoff."""
-    base, other, swapped = _base(rho, sigma, either)
-    w, v = base.spectrum.eigenvalues, base.spectrum.frame
-    s = zero_roundoff(other.spectrum.eigenvalues)
-    left, t, right = np.linalg.svd((v.conj().T @ other.spectrum.frame) * np.sqrt(s / w[:, None]))
-    return zero_roundoff(t), left, right, s, swapped
+def t_spectrum(base: SpectralDecomposition, other: SpectralDecomposition) -> tuple:
+    """T = sqrt(B^-1/2 O B^-1/2) as the raw factors (t, L, R†, s) of one SVD, for the spectra B = V diag(w) V†
+    (w > 0) and O = U diag(s) U† of two PSD operators of any trace, which the caller checks (_base for states):
+    diag(w^-1/2) V†U diag(s^1/2) = L diag(t) R† with t descending, so T = VL diag(t) (VL)† and sqrt(B) T =
+    U diag(s^1/2) R L† V†; s (O's kernel) and t pass through the one zero rule, linalg.zero_roundoff."""
+    w, v = base.eigenvalues, base.frame
+    s = zero_roundoff(other.eigenvalues)
+    left, t, right = np.linalg.svd((v.conj().T @ other.frame) * np.sqrt(s / w[:, None]))
+    return zero_roundoff(t), left, right, s
 
 
 def _minimal_test(rho: DensityMatrix, sigma: DensityMatrix):
     """(p, q, L, B, B is sigma): the minimal reverse test's weights p for rho, q for sigma on T's eigenframe
-    e_x = V L_x of t_spectrum, t_x descending: B's b_x = <e_x|B|e_x> = sum_i w_i |L_ix|^2, the other's t_x^2 b_x."""
-    t, left, _, _, swapped = t_spectrum(rho, sigma, either=True)
-    base = sigma if swapped else rho
+    e_x = V L_x of t_spectrum on _base's B, t_x descending: B's b_x = sum_i w_i |L_ix|^2, the other's t_x^2 b_x."""
+    base, other, swapped = _base(rho, sigma, either=True)
+    t, left, _, _ = t_spectrum(base.spectrum, other.spectrum)
     b = base.spectrum.eigenvalues @ np.abs(left) ** 2
     return (t * t * b, b, left, base, swapped) if swapped else (b, t * t * b, left, base, swapped)
 
 
 def t_operator(rho: DensityMatrix, sigma: DensityMatrix) -> HermitianMatrix:
     """T = sqrt(rho^-1/2 sigma rho^-1/2); (sqrt(rho) T)(sqrt(rho) T)† = sigma."""
-    t, left, *_ = t_spectrum(rho, sigma)
+    _base(rho, sigma, either=False)
+    t, left, *_ = t_spectrum(rho.spectrum, sigma.spectrum)
     frame = rho.spectrum.frame @ left
     return HermitianMatrix((frame * t) @ frame.conj().T)
 
@@ -100,7 +113,7 @@ def f_min_via_geomean(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 def f_min_pure(rho: DensityMatrix, phi: PureState) -> float:
     """F_min against a pure target, from the overlaps c = V† phi with rho = V diag(w) V†: 0 when
     ||c|| on the kernel (w <= FULL_RANK_MIN_EIG) exceeds 1e-8, else 1 / ||c_i / sqrt(w_i)|| on the support."""
-    _check_dims(rho, phi)
+    require_pair(rho, phi, names=("rho", "phi"), kinds=(DensityMatrix, PureState))
     w = rho.spectrum.eigenvalues
     c = rho.spectrum.frame.conj().T @ phi.amplitudes
     on = w > FULL_RANK_MIN_EIG
@@ -184,6 +197,7 @@ def generalized_fidelity_classical(p: ProbDist, q: ProbDist, f: OperatorMonotone
 
 def _perspective_sum(p: np.ndarray, q: np.ndarray, f: OperatorMonotoneSpec) -> float:
     """sum_x p(x) f(q(x)/p(x)), with q(x) lim f(t)/t where p(x) = 0 < q(x)."""
+    require_instance("f", f, OperatorMonotoneSpec)
     on = p > 0.0
     total = float(p[on] @ f._evaluate(q[on] / p[on]))
     if (q[~on] > 0.0).any():
@@ -241,7 +255,7 @@ def _kl(p: np.ndarray, q: np.ndarray) -> float:
 def reverse_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """D^R(rho || sigma) = tr rho ln(sqrt(rho) sigma^-1 sqrt(rho)): the KL divergence
     of the minimal reverse test."""
-    _check_dims(rho, sigma)
+    require_pair(rho, sigma)
     sigma.require_full_rank("sigma must be strictly positive for D^R")
     p, q, *_ = _minimal_test(rho, sigma)
     return _kl(p, q)
@@ -253,7 +267,7 @@ def trace_distance_classical(p: ProbDist, q: ProbDist) -> float:
 
 
 def trace_distance_quantum(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    _check_dims(rho, sigma)
+    require_pair(rho, sigma)
     return float(0.5 * trace_norm(rho.mat - sigma.mat))
 
 

@@ -35,6 +35,7 @@ from .states import (
     make_density_stack,
     require_instance,
     require_integer,
+    require_pair,
     rng_for,
 )
 
@@ -135,6 +136,7 @@ def _lyapunov_solve(w: np.ndarray, v: np.ndarray, rhs: np.ndarray) -> np.ndarray
 def _tangent_eigenbasis(tp: TangentPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(w, V, X): rho = V diag(w) V† from the stored spectrum, and the velocity
     X = V† drho V in that basis."""
+    require_instance("tp", tp, TangentPoint)
     tp.state.require_full_rank()
     w, v = tp.state.spectrum.eigenvalues, tp.state.spectrum.frame
     return w, v, v.conj().T @ tp.velocity.entries @ v
@@ -187,7 +189,7 @@ def tangent_reverse_estimation(
 
 def classical_fisher(p: ProbDist, dp: SignedVector) -> float:
     """sum dp^2 / p; a point with p = 0 adds 0 if dp is 0 there and has no finite information otherwise."""
-    _check_sizes(p, dp)
+    _check_sizes(p, dp, names=("p", "dp"), kinds=(ProbDist, SignedVector))
     on = p.weights > 0
     if dp.values[~on].any():
         raise DomainError("Fisher information undefined: dp is non-zero where p is 0")
@@ -198,13 +200,7 @@ def fmin_geodesic(rho: DensityMatrix, sigma: DensityMatrix, n_samples: int = 33)
     """Commutative-RLD geodesic realizing F_min: the classical great circle
     of the minimal reverse test pushed through its preparation map."""
     require_integer("n_samples", n_samples, 2)
-    _require_states(rho, sigma)
     return _great_circle(rho, minimal_reverse_test(rho, sigma), n_samples)
-
-
-def _require_states(rho, sigma) -> None:
-    require_instance("rho", rho, DensityMatrix)
-    require_instance("sigma", sigma, DensityMatrix)
 
 
 def _great_circle(rho: DensityMatrix, rt: ReverseTest, n_samples: int) -> Curve:
@@ -256,6 +252,7 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def curve_length(curve: Curve, metric: str = "rld") -> float:
     """Integral of sqrt(J_t) along the curve by composite Simpson quadrature."""
+    require_instance("curve", curve, Curve)
     if len(curve.states) < 3:
         if len(curve.states) == 1:
             return 0.0
@@ -274,6 +271,7 @@ def curve_speeds(curve: Curve, metric: str = "rld") -> np.ndarray:
     """
     if metric not in ("sld", "rld"):
         raise ValidationError(f"metric must be 'sld' or 'rld', got {metric!r}")
+    require_instance("curve", curve, Curve)
     vels = np.array([v.entries for v in curve.velocities])
     w = np.array([s.spectrum.eigenvalues for s in curve.states])
     v = np.array([s.spectrum.frame for s in curve.states])
@@ -301,7 +299,6 @@ def geodesic_start(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[GeodesicSt
     """Unit-speed initial data (rho, L0) for the commutative geodesic flow, plus the total arc
     time 2 theta, theta = arccos F_min: the great circle's RLD speed is 2 theta, so at rate 1/2
     its drho(0) has unit speed, and L0 = drho(0) rho^-1 = V (X_ij / w_j) V† as in rld_fisher."""
-    _require_states(rho, sigma)
     rt = minimal_reverse_test(rho, sigma)
     rho.require_full_rank()
     fid = rt.fidelity()
@@ -318,6 +315,7 @@ def _check_flow_start(start: GeodesicState, dt: float, steps: int) -> None:
     if isinstance(dt, bool) or not isinstance(dt, Real) or not math.isfinite(dt) or dt == 0:
         raise ValidationError(f"dt must be finite and non-zero, got {dt!r}")
     require_integer("steps", steps, 0)
+    require_instance("start", start, GeodesicState)
     l = start.rld_matrix
     if l.shape != start.state.mat.shape:
         raise DimensionMismatchError(f"L has shape {l.shape}, the state has dim {start.state.dim}")
@@ -511,7 +509,7 @@ def fr_estimate(
     require_integer("control_points", control_points, 0)
     require_integer("iterations", iterations, 0)
     rng = rng_for(seed)
-    _require_states(rho, sigma)
+    require_pair(rho, sigma)
     rho.require_full_rank()
     sigma.require_full_rank()
     rt = minimal_reverse_test(rho, sigma)

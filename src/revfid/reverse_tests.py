@@ -1,10 +1,12 @@
 """Reverse tests: preparation channels plus classical distribution pairs
 that map back onto a given pair of quantum states.
 
-The minimal construction diagonalizes T = sqrt(rho^-1/2 sigma rho^-1/2)
-and reads the optimal (p, q) off the eigenframe; the general family is
-parameterized by a contraction A with TA = A†T >= 0 and read off one SVD
-of T on the support of TA, plus the letters of I - A†A.
+The minimal construction reads T = sqrt(B^-1/2 O B^-1/2), B the better-
+conditioned state, off one SVD of the two stored spectra
+(divergences.t_spectrum) and the optimal (p, q) off T's eigenframe; the
+general family is parameterized by a contraction A with TA = A†T >= 0
+and read off one SVD of T on the support of TA, plus the letters of
+I - A†A.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import _minimal_test, classical_fidelity, f_min_pure, t_operator, t_spectrum, uhlmann_fidelity
+from .divergences import _base, _minimal_test, classical_fidelity, f_min_pure, t_operator, t_spectrum, uhlmann_fidelity
 from .errors import DomainError, ValidationError
 from .linalg import (
     DROP_COLUMN_NORM,
@@ -28,12 +30,12 @@ from .states import (
     DensityMatrix,
     ProbDist,
     PureState,
-    _check_dims,
     _ginibre,
     _prechecked,
     _prechecked_dist,
     _rebuilt,
     require_instance,
+    require_pair,
     require_real,
     rng_for,
 )
@@ -96,8 +98,8 @@ def verify_reverse_test(
     """Trace-norm residuals of the preparation identities, both from one SVD call (finite operands);
     tol must be a finite real >= 0."""
     require_real("tol", tol, 0)
-    _check_dims(rt, rho)
-    _check_dims(rt, sigma)
+    require_pair(rt, rho, names=("rt", "rho"), kinds=(ReverseTest, DensityMatrix))
+    require_pair(rt, sigma, names=("rt", "sigma"), kinds=(ReverseTest, DensityMatrix))
     residuals = rt.prepared_pair()
     residuals[0] -= rho.mat
     residuals[1] -= sigma.mat
@@ -149,8 +151,8 @@ def general_reverse_test(rho: DensityMatrix, sigma: DensityMatrix, a: np.ndarray
     and s^2 = t, which leaves the minimal test; strict contractions give strictly smaller classical
     fidelity.
     """
-    d = rho.dim
     t = t_operator(rho, sigma).entries
+    d = rho.dim
     a = require_finite(a, "contraction A", complex)
     if a.shape != (d, d):
         raise ValidationError(f"contraction must be {d}x{d}, got {a.shape}")
@@ -239,7 +241,8 @@ def hidden_pair(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[DensityMatrix
     W_rho = sqrt(rho) and W_sigma = sqrt(rho) T are the paper's W-factors: W_rho W_rho† = rho,
     W_sigma W_sigma† = sigma, W_rho W_sigma† = W_sigma W_rho† >= 0.
     """
-    _, left, right, s, _ = t_spectrum(rho, sigma)
+    _base(rho, sigma, either=False)
+    _, left, right, s = t_spectrum(rho.spectrum, sigma.spectrum)
     return rho, _rebuilt(s[None], (rho.spectrum.frame @ left @ right)[None])[0]
 
 

@@ -325,6 +325,8 @@ def random_channel(dim_in: int, dim_out: int, kraus_count: int, seed: int) -> Ch
 
 
 def apply_channel(lam: Channel, rho: DensityMatrix) -> DensityMatrix:
+    require_instance("lam", lam, Channel)
+    require_instance("rho", rho, DensityMatrix)
     if lam.dim_in != rho.dim:
         raise DimensionMismatchError(f"channel input dim {lam.dim_in} != state dim {rho.dim}")
     return make_density((lam.kraus @ rho.mat @ lam.kraus.conj().swapaxes(1, 2)).sum(axis=0))
@@ -341,6 +343,7 @@ def preparation_channel(columns: np.ndarray) -> Channel:
 
 def embed_classical(p: ProbDist) -> DensityMatrix:
     """diag(p), rebuilt from p sorted stably on the same permutation of the standard basis, with no decomposition."""
+    require_instance("p", p, ProbDist)
     order = np.argsort(p.weights, kind="stable")
     return _rebuilt(p.weights[None, order], np.eye(p.size, dtype=complex)[None, :, order])[0]
 
@@ -348,6 +351,7 @@ def embed_classical(p: ProbDist) -> DensityMatrix:
 def measure(effects: Sequence, rho: DensityMatrix) -> ProbDist:
     """Born probabilities tr(E_x rho) for a POVM given as a list of effects."""
     mats = [e.entries if isinstance(e, HermitianMatrix) else np.asarray(e, dtype=complex) for e in effects]
+    require_instance("rho", rho, DensityMatrix)
     if any(m.shape != (rho.dim, rho.dim) for m in mats):
         raise DimensionMismatchError("effect dimensions do not match the state")
     mats = require_finite(mats, "effect", complex).reshape(-1, rho.dim, rho.dim)
@@ -367,7 +371,9 @@ def basis_measurement(frame: np.ndarray) -> list[np.ndarray]:
 
 
 def tensor(rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:
-    """rho (x) sigma from the sorted Kronecker product of the stored spectra, with no decomposition."""
+    """rho (x) sigma from the sorted Kronecker product of the stored spectra, with no decomposition; any two dims."""
+    require_instance("rho", rho, DensityMatrix)
+    require_instance("sigma", sigma, DensityMatrix)
     w = np.kron(rho.spectrum.eigenvalues, sigma.spectrum.eigenvalues)
     order = np.argsort(w)
     return _rebuilt(w[None, order], np.kron(rho.spectrum.frame, sigma.spectrum.frame)[None, :, order])[0]
@@ -389,13 +395,16 @@ def random_tangent(dim: int, seed: int) -> tuple[DensityMatrix, HermitianMatrix]
     return rho, HermitianMatrix(v)
 
 
-def _check_dims(a, b) -> None:
-    """DimensionMismatchError unless the operands (anything with ``dim``) share the Hilbert dimension."""
+def require_pair(a, b, names=("rho", "sigma"), kinds=(DensityMatrix, DensityMatrix)) -> None:
+    """The one check of a pair: ValidationError naming the first argument that is not an instance of its
+    kind, then DimensionMismatchError unless the two share the Hilbert dimension ``dim``."""
+    require_instance(names[0], a, kinds[0])
+    require_instance(names[1], b, kinds[1])
     if a.dim != b.dim:
         raise DimensionMismatchError(f"state dims differ: {a.dim} vs {b.dim}")
 
 
 def state_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Trace-norm distance used in residual checks."""
-    _check_dims(a, b)
+    require_pair(a, b, names=("a", "b"))
     return trace_norm(a.mat - b.mat)

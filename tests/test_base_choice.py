@@ -7,7 +7,8 @@ delta_max_bounds, minimal_reverse_test and f_min_via_geomean against a
 ill-conditioned sigma, and check the exact symmetry the one base decision
 gives.  The minimal test's weights and preparation columns, read off the
 SVD factor, are pinned against the dense formulas <e_x|B|e_x> and
-sqrt(B) e_x / ||sqrt(B) e_x||.
+sqrt(B) e_x / ||sqrt(B) e_x||.  The kernel under them, t_spectrum, takes
+two spectra of any trace: scaled by 2 and 8, they give exactly twice t.
 """
 
 import math
@@ -27,10 +28,11 @@ from revfid.divergences import (
     generalized_fidelity_classical,
     kl_divergence,
     reverse_relative_entropy,
+    t_spectrum,
     uhlmann_fidelity,
 )
 from revfid.errors import DomainError
-from revfid.linalg import geometric_mean
+from revfid.linalg import SpectralDecomposition, geometric_mean
 from revfid.reverse_tests import COLUMN_NORM_TOL, ReverseTest, minimal_reverse_test, verify_reverse_test
 from revfid.states import ProbDist, PureState, make_density, random_density
 
@@ -163,6 +165,19 @@ def test_minimal_reverse_test_columns_are_the_normalized_root_of_the_base(pairs)
         prep = minimal_reverse_test(rho, sigma).prep
         assert np.abs(prep - (cols if swapped else cols[:, ::-1])).max() <= 5e-14
         assert np.abs(np.linalg.norm(prep, axis=0) - 1.0).max() <= 4e-15
+
+
+@pytest.mark.parametrize("pairs", [random_pairs, ill_conditioned_family])
+def test_t_spectrum_takes_spectra_of_any_trace(pairs):
+    # the kernel reads spectra, not states: on a base of trace 2 and another operator of trace 8,
+    # T = sqrt(B^-1/2 O B^-1/2) doubles exactly, and its SVD factors are the unit-trace ones bit for bit
+    for rho, sigma in both_orders(pairs()):
+        t, left, right, s = t_spectrum(rho.spectrum, sigma.spectrum)
+        base = SpectralDecomposition(2 * rho.spectrum.eigenvalues, rho.spectrum.frame)
+        other = SpectralDecomposition(8 * sigma.spectrum.eigenvalues, sigma.spectrum.frame)
+        t2, left2, right2, s2 = t_spectrum(base, other)
+        assert np.array_equal(t2, 2 * t) and np.array_equal(s2, 8 * s)
+        assert np.array_equal(left2, left) and np.array_equal(right2, right)
 
 
 def rank_deficient_sigma():

@@ -12,7 +12,20 @@ from scipy.linalg import solve_sylvester
 from scipy.linalg.lapack import zgees, ztrsyl
 
 from revfid import geometry
-from revfid.divergences import f_min, f_min_pure, uhlmann_fidelity
+from revfid.divergences import (
+    OperatorMonotoneSpec,
+    delta_max_bounds,
+    delta_max_pure,
+    f_f_min,
+    f_min,
+    f_min_pure,
+    f_min_via_geomean,
+    quasi_entropy_comparison,
+    reverse_relative_entropy,
+    t_operator,
+    trace_distance_quantum,
+    uhlmann_fidelity,
+)
 from revfid.errors import DimensionMismatchError, DomainError, SingularStateError, ValidationError
 from revfid.geometry import (
     Curve,
@@ -41,7 +54,14 @@ from revfid.geometry import (
     _segment_lengths,
 )
 from revfid.linalg import HermitianMatrix
-from revfid.reverse_tests import minimal_reverse_test
+from revfid.reverse_tests import (
+    general_reverse_test,
+    hidden_pair,
+    hidden_pair_fidelity,
+    minimal_reverse_test,
+    pure_target_reverse_test,
+    verify_reverse_test,
+)
 from revfid.states import (
     DensityMatrix,
     ProbDist,
@@ -49,6 +69,7 @@ from revfid.states import (
     SignedVector,
     make_density,
     random_density,
+    random_pure,
     random_tangent,
     rng_for,
     state_distance,
@@ -521,14 +542,51 @@ def test_geodesic_state_names_a_malformed_field(state_as_array, l, match):
         GeodesicState(rho.mat if state_as_array else rho, l)
 
 
-@pytest.mark.parametrize("call", [fmin_geodesic, geodesic_start, fr_estimate])
-@pytest.mark.parametrize("which", ["rho", "sigma"])
-def test_pair_constructions_name_an_array_state(call, which):
-    # unchecked, a state given as its matrix raised a raw AttributeError
-    pair = {"rho": random_density(2, 2, 1), "sigma": random_density(2, 2, 2)}
-    pair[which] = pair[which].mat
-    with pytest.raises(ValidationError, match=f"^{which} must be a DensityMatrix, got ndarray$"):
-        call(pair["rho"], pair["sigma"])
+# every public function of a state pair, with the names its one pair check, states.require_pair, gives its arguments
+PAIR_FUNCTIONS = {
+    "fmin_geodesic": (fmin_geodesic, ("rho", "sigma")),
+    "fr_estimate": (fr_estimate, ("rho", "sigma")),
+    "geodesic_start": (geodesic_start, ("rho", "sigma")),
+    "uhlmann_fidelity": (uhlmann_fidelity, ("rho", "sigma")),
+    "t_operator": (t_operator, ("rho", "sigma")),
+    "f_min": (f_min, ("rho", "sigma")),
+    "f_min_via_geomean": (f_min_via_geomean, ("rho", "sigma")),
+    "f_f_min": (lambda rho, sigma: f_f_min(rho, sigma, OperatorMonotoneSpec.sqrt()), ("rho", "sigma")),
+    "quasi_entropy_comparison": (lambda rho, sigma: quasi_entropy_comparison(rho, sigma, 0.5), ("rho", "sigma")),
+    "reverse_relative_entropy": (reverse_relative_entropy, ("rho", "sigma")),
+    "trace_distance_quantum": (trace_distance_quantum, ("rho", "sigma")),
+    "delta_max_bounds": (delta_max_bounds, ("rho", "sigma")),
+    "minimal_reverse_test": (minimal_reverse_test, ("rho", "sigma")),
+    "general_reverse_test": (lambda rho, sigma: general_reverse_test(rho, sigma, np.eye(2)), ("rho", "sigma")),
+    "hidden_pair": (hidden_pair, ("rho", "sigma")),
+    "hidden_pair_fidelity": (hidden_pair_fidelity, ("rho", "sigma")),
+    "state_distance": (state_distance, ("a", "b")),
+    "f_min_pure": (f_min_pure, ("rho", "phi")),
+    "delta_max_pure": (delta_max_pure, ("rho", "phi")),
+    "pure_target_reverse_test": (pure_target_reverse_test, ("rho", "phi")),
+    "verify_reverse_test": (verify_reverse_test, ("rt", "rho", "sigma")),
+}
+
+
+@pytest.mark.parametrize(
+    "call, names, which",
+    [
+        pytest.param(call, names, i, id=f"{names[i]}-{name}")
+        for name, (call, names) in PAIR_FUNCTIONS.items()
+        for i in range(len(names))
+    ],
+)
+def test_pair_constructions_name_an_array_state(call, names, which):
+    # unchecked, an argument given as its array raised a raw AttributeError
+    rho, sigma, phi = random_density(2, 2, 1), random_density(2, 2, 2), random_pure(2, 3)
+    rt = minimal_reverse_test(rho, sigma)
+    given = {"rho": rho, "sigma": sigma, "a": rho, "b": sigma, "phi": phi, "rt": rt}
+    arrays = {"rho": rho.mat, "sigma": sigma.mat, "a": rho.mat, "b": sigma.mat, "phi": phi.amplitudes, "rt": rt.prep}
+    args = [given[n] for n in names]
+    kind = type(args[which]).__name__
+    args[which] = arrays[names[which]]
+    with pytest.raises(ValidationError, match=f"^{names[which]} must be a {kind}, got ndarray$"):
+        call(*args)
 
 
 @pytest.mark.parametrize("flow", [commutative_geodesic_flow, rld_geodesic_flow])

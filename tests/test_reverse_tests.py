@@ -6,14 +6,31 @@ import pytest
 from revfid.divergences import (
     OperatorMonotoneSpec,
     classical_fidelity,
+    f_f_min,
     f_min,
     f_min_pure,
+    generalized_fidelity_classical,
+    kl_divergence,
     quasi_entropy_comparison,
     t_operator,
+    trace_distance_classical,
     uhlmann_fidelity,
 )
 from revfid.errors import DimensionMismatchError, DomainError, ValidationError
-from revfid.geometry import Curve, TangentPoint
+from revfid.geometry import (
+    Curve,
+    TangentPoint,
+    classical_fisher,
+    commutative_geodesic_flow,
+    curve_length,
+    curve_speeds,
+    expansion_check,
+    fisher_both,
+    rld_fisher,
+    rld_geodesic_flow,
+    sld_fisher,
+    tangent_reverse_estimation,
+)
 from revfid.linalg import HermitianMatrix
 from revfid.reverse_tests import (
     ReverseTest,
@@ -29,14 +46,23 @@ from revfid.reverse_tests import (
 from revfid.states import (
     ProbDist,
     SignedVector,
+    apply_channel,
+    basis_measurement,
+    embed_classical,
     make_density,
+    measure,
+    random_channel,
     random_density,
     random_pure,
+    tensor,
 )
 
 
 def qubit_pair(seed):
     return random_density(2, 2, seed), random_density(2, 2, seed + 1000)
+
+
+HALVES = ProbDist(np.array([0.5, 0.5]))
 
 
 def test_reverse_test_rejects_nonunit_columns():
@@ -280,6 +306,30 @@ def test_non_numeric_input_is_a_validation_error_naming_it(call, name):
         (lambda rho, sigma: sample_contraction(np.eye(2), 1), "t"),
         (lambda rho, sigma: mixture_reverse_test([minimal_reverse_test(rho, sigma)]), "mixture component"),
         (lambda rho, sigma: mixture_reverse_test([(rho, 1.0, 1.0)]), "mixture component test"),
+        (lambda rho, sigma: classical_fidelity(np.array([0.5, 0.5]), HALVES), "p"),
+        (lambda rho, sigma: classical_fidelity(HALVES, [0.5, 0.5]), "q"),
+        (lambda rho, sigma: kl_divergence(HALVES, np.array([0.5, 0.5])), "q"),
+        (lambda rho, sigma: trace_distance_classical(np.array([0.5, 0.5]), HALVES), "p"),
+        (lambda rho, sigma: generalized_fidelity_classical([0.5, 0.5], HALVES, OperatorMonotoneSpec.sqrt()), "p"),
+        (lambda rho, sigma: generalized_fidelity_classical(HALVES, HALVES, 0.5), "f"),
+        (lambda rho, sigma: f_f_min(rho, sigma, 0.5), "f"),
+        (lambda rho, sigma: classical_fisher(np.array([0.5, 0.5]), SignedVector(np.zeros(2))), "p"),
+        (lambda rho, sigma: classical_fisher(HALVES, HALVES), "dp"),
+        (lambda rho, sigma: sld_fisher(rho), "tp"),
+        (lambda rho, sigma: rld_fisher(rho.mat), "tp"),
+        (lambda rho, sigma: fisher_both(rho), "tp"),
+        (lambda rho, sigma: tangent_reverse_estimation(rho), "tp"),
+        (lambda rho, sigma: expansion_check(rho), "tp"),
+        (lambda rho, sigma: apply_channel(rho, rho), "lam"),
+        (lambda rho, sigma: apply_channel(random_channel(2, 2, 2, 1), rho.mat), "rho"),
+        (lambda rho, sigma: tensor(rho.mat, sigma), "rho"),
+        (lambda rho, sigma: tensor(rho, sigma.mat), "sigma"),
+        (lambda rho, sigma: measure(basis_measurement(np.eye(2)), rho.mat), "rho"),
+        (lambda rho, sigma: embed_classical([0.5, 0.5]), "p"),
+        (lambda rho, sigma: curve_length(rho), "curve"),
+        (lambda rho, sigma: curve_speeds(rho.mat), "curve"),
+        (lambda rho, sigma: commutative_geodesic_flow(rho, 0.1, 2), "start"),
+        (lambda rho, sigma: rld_geodesic_flow(rho.mat, 0.1, 2), "start"),
     ],
     ids=[
         "tangent-state",
@@ -291,6 +341,30 @@ def test_non_numeric_input_is_a_validation_error_naming_it(call, name):
         "contraction-t",
         "mixture-bare",
         "mixture-test",
+        "classical-fidelity-p",
+        "classical-fidelity-q",
+        "kl-divergence-q",
+        "trace-distance-classical-p",
+        "generalized-fidelity-p",
+        "generalized-fidelity-spec",
+        "f-f-min-spec",
+        "classical-fisher-p",
+        "classical-fisher-dp",
+        "sld-fisher-tp",
+        "rld-fisher-tp",
+        "fisher-both-tp",
+        "tangent-reverse-estimation-tp",
+        "expansion-check-tp",
+        "apply-channel-channel",
+        "apply-channel-state",
+        "tensor-rho",
+        "tensor-sigma",
+        "measure-state",
+        "embed-classical-p",
+        "curve-length-curve",
+        "curve-speeds-curve",
+        "commutative-flow-start",
+        "rld-flow-start",
     ],
 )
 def test_wrong_argument_type_is_a_validation_error_naming_it(call, name):
