@@ -39,7 +39,6 @@ from .geometry import (
     FisherReport,
     GeodesicState,
     TangentPoint,
-    arccos_product_bound_holds,
     classical_fisher,
     commutative_geodesic_flow,
     curve_length,
@@ -56,7 +55,6 @@ from .geometry import (
 )
 from .linalg import (
     HermitianMatrix,
-    PsdReport,
     SpectralDecomposition,
     eig_hermitian,
     geometric_mean,

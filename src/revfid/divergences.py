@@ -255,9 +255,8 @@ def _kl(p: np.ndarray, q: np.ndarray) -> float:
 def reverse_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """D^R(rho || sigma) = tr rho ln(sqrt(rho) sigma^-1 sqrt(rho)): the KL divergence
     of the minimal reverse test."""
-    require_pair(rho, sigma)
-    sigma.require_full_rank("sigma must be strictly positive for D^R")
     p, q, *_ = _minimal_test(rho, sigma)
+    sigma.require_full_rank("sigma must be strictly positive for D^R")
     return _kl(p, q)
 
 

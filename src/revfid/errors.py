@@ -18,14 +18,7 @@ class DomainError(RevfidError):
 
 
 class NotPsdError(DomainError):
-    """Matrix has an eigenvalue below the PSD tolerance.
-
-    Carries the diagnostic report produced at the point of failure.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """Matrix has an eigenvalue below the PSD tolerance, both printed in the message."""
 
 
 class SingularStateError(DomainError):

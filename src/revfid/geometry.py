@@ -35,7 +35,6 @@ from .states import (
     make_density_stack,
     require_instance,
     require_integer,
-    require_pair,
     rng_for,
 )
 
@@ -509,10 +508,9 @@ def fr_estimate(
     require_integer("control_points", control_points, 0)
     require_integer("iterations", iterations, 0)
     rng = rng_for(seed)
-    require_pair(rho, sigma)
+    rt = minimal_reverse_test(rho, sigma)  # the pair check and the base's full rank
     rho.require_full_rank()
     sigma.require_full_rank()
-    rt = minimal_reverse_test(rho, sigma)
     fmin_val = rt.fidelity()
     if fmin_val >= EQUAL_PAIR_FIDELITY:
         return 1.0
@@ -560,12 +558,6 @@ class ExpansionReport:
     eps: tuple[float, ...]
     residuals: tuple[float, ...]
     slope: float
-
-
-def arccos_product_bound_holds() -> bool:
-    """arccos F <= sqrt(2 (1-F)) * (1 + (1-F)/6), to 1e-9, on the grid F = 0, 0.001, ..., 1."""
-    f = np.arange(0.0, 1.0 + 1e-3 / 2, 1e-3)
-    return bool(np.all(np.arccos(f) <= np.sqrt(2.0 * (1.0 - f)) * (1.0 + (1.0 - f) / 6.0) + 1e-9))
 
 
 def expansion_check(

@@ -103,19 +103,9 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     frame: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.frame * self.eigenvalues) @ self.frame.conj().T
-
     def function(self, fw: np.ndarray) -> np.ndarray:
         """V diag(fw) V†, symmetrized, for the values fw of f at the eigenvalues."""
         return hermitian_part((self.frame * fw) @ self.frame.conj().T)
-
-
-@dataclass(frozen=True)
-class PsdReport:
-    is_psd: bool
-    min_eigenvalue: float
-    tolerance_used: float
 
 
 def _hermitian(H) -> HermitianMatrix:
@@ -139,8 +129,7 @@ def _psd_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(a)
     tol = PSD_TOL_FACTOR * max(1.0, float(np.linalg.norm(a)))
     if w[0] < -tol:
-        report = PsdReport(False, float(w[0]), tol)
-        raise NotPsdError(f"matrix is not PSD: min eigenvalue {w[0]:.3e} < -{tol:.3e}", report=report)
+        raise NotPsdError(f"matrix is not PSD: min eigenvalue {w[0]:.3e} < -{tol:.3e}")
     return np.maximum(w, 0.0), v
 
 
@@ -152,7 +141,8 @@ def _psd_sqrt(a: np.ndarray) -> np.ndarray:
 
 def geometric_mean(A, B) -> HermitianMatrix:
     """Operator geometric mean A # B = sqrt(A) sqrt(A^-1/2 B A^-1/2) sqrt(A);
-    DomainError unless A is strictly positive."""
+    DomainError unless A is strictly positive.  Formed in the eigenframe of A = V diag(w) V† as
+    V diag(w^1/2) Z^1/2 diag(w^1/2) V† with Z of ``_geomean_inner``; no root of A is inverted."""
     A, B = _hermitian(A), _hermitian(B)
     if A.dim != B.dim:
         raise DimensionMismatchError(f"dimension mismatch: {A.dim} vs {B.dim}")
@@ -162,14 +152,8 @@ def geometric_mean(A, B) -> HermitianMatrix:
             f"first argument of geometric_mean is singular (min eigenvalue {a.eigenvalues[0]:.3e}); "
             "regularize explicitly (A + eps*I) before calling"
         )
-    return HermitianMatrix(geometric_mean_in_frame(a, B.entries))
-
-
-def geometric_mean_in_frame(a: SpectralDecomposition, b: np.ndarray) -> np.ndarray:
-    """A # B as a plain array, not symmetrized, in the eigenframe of A = V diag(w) V† (w > 0):
-    V diag(w^1/2) Z^1/2 diag(w^1/2) V† with Z of ``_geomean_inner``; no root of A is inverted."""
     rw, v = np.sqrt(a.eigenvalues), a.frame
-    return v @ (rw[:, None] * _psd_sqrt(_geomean_inner(a, b)) * rw) @ v.conj().T
+    return HermitianMatrix(v @ (rw[:, None] * _psd_sqrt(_geomean_inner(a, B.entries)) * rw) @ v.conj().T)
 
 
 def _geomean_inner(a: SpectralDecomposition, b: np.ndarray) -> np.ndarray:

@@ -213,12 +213,12 @@ def mixture_reverse_test(
     mu-mixture of the sigma's, with classical fidelity
     sum_y sqrt(lambda_y mu_y) F(p_y, q_y).
     """
-    if not components:
-        raise ValidationError("mixture needs at least one component")
-    for c in components:
+    for c in components if isinstance(components, (list, tuple)) else [components]:
         if not isinstance(c, tuple) or len(c) != 3:
             raise ValidationError(f"mixture component must be a (test, lambda, mu) tuple, got {type(c).__name__}")
         require_instance("mixture component test", c[0], ReverseTest)
+    if not components:
+        raise ValidationError("mixture needs at least one component")
     for weight in (x for _, lam, mu in components for x in (lam, mu)):
         require_real("mixture weight", weight, -1e-12)
     lams, mus = np.array([(lam, mu) for _, lam, mu in components]).T

@@ -350,11 +350,14 @@ def embed_classical(p: ProbDist) -> DensityMatrix:
 
 def measure(effects: Sequence, rho: DensityMatrix) -> ProbDist:
     """Born probabilities tr(E_x rho) for a POVM given as a list of effects."""
-    mats = [e.entries if isinstance(e, HermitianMatrix) else np.asarray(e, dtype=complex) for e in effects]
+    try:
+        mats = [e.entries if isinstance(e, HermitianMatrix) else require_finite(e, "effect", complex) for e in effects]
+    except TypeError:  # effects is not iterable
+        raise ValidationError(f"effects must be a sequence of matrices, got {type(effects).__name__}") from None
     require_instance("rho", rho, DensityMatrix)
     if any(m.shape != (rho.dim, rho.dim) for m in mats):
         raise DimensionMismatchError("effect dimensions do not match the state")
-    mats = require_finite(mats, "effect", complex).reshape(-1, rho.dim, rho.dim)
+    mats = np.asarray(mats, dtype=complex).reshape(-1, rho.dim, rho.dim)
     if np.linalg.norm(mats.sum(axis=0) - np.eye(rho.dim)) > 1e-8:
         raise ValidationError("effects do not sum to the identity (incomplete POVM)")
     if np.linalg.norm(mats - mats.conj().swapaxes(1, 2), axis=(1, 2)).max() > HERMITIAN_TOL:

@@ -25,7 +25,6 @@ from revfid.divergences import (
 )
 from revfid.geometry import (
     TangentPoint,
-    arccos_product_bound_holds,
     commutative_geodesic_flow,
     curve_length,
     expansion_check,
@@ -308,7 +307,8 @@ def test_criterion_10_inequality_suite():
     if np.any(lower > np.arccos(grid) + 1e-9):
         ok = False
         details.append("arccos lower bound fails on the 1001-point grid")
-    if not arccos_product_bound_holds():
+    upper = np.sqrt(2.0 * (1.0 - grid)) * (1.0 + (1.0 - grid) / 6.0)
+    if not np.all(np.arccos(grid) <= upper + 1e-9):
         ok = False
         details.append("arccos upper bound fails on the 1001-point grid")
     verdict(10, ok, "; ".join(details) or "all inequalities hold")

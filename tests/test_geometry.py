@@ -31,7 +31,6 @@ from revfid.geometry import (
     Curve,
     GeodesicState,
     TangentPoint,
-    arccos_product_bound_holds,
     classical_fisher,
     commutative_geodesic_flow,
     curve_length,
@@ -1400,4 +1399,5 @@ def test_arccos_bound_forms():
     inside = np.sqrt(2.0 * (1.0 - grid) * (1.0 + (1.0 - grid) / 6.0))
     assert not np.all(np.arccos(grid) <= inside + 1e-9)
     assert np.all(np.arccos(grid[:-1]) > inside[:-1])  # at every grid point F < 1
-    assert arccos_product_bound_holds()
+    outside = np.sqrt(2.0 * (1.0 - grid)) * (1.0 + (1.0 - grid) / 6.0)
+    assert np.all(np.arccos(grid) <= outside + 1e-9)

@@ -306,6 +306,8 @@ def test_non_numeric_input_is_a_validation_error_naming_it(call, name):
         (lambda rho, sigma: sample_contraction(np.eye(2), 1), "t"),
         (lambda rho, sigma: mixture_reverse_test([minimal_reverse_test(rho, sigma)]), "mixture component"),
         (lambda rho, sigma: mixture_reverse_test([(rho, 1.0, 1.0)]), "mixture component test"),
+        (lambda rho, sigma: mixture_reverse_test(rho), "mixture component"),
+        (lambda rho, sigma: mixture_reverse_test(rho.mat), "mixture component"),
         (lambda rho, sigma: classical_fidelity(np.array([0.5, 0.5]), HALVES), "p"),
         (lambda rho, sigma: classical_fidelity(HALVES, [0.5, 0.5]), "q"),
         (lambda rho, sigma: kl_divergence(HALVES, np.array([0.5, 0.5])), "q"),
@@ -325,6 +327,8 @@ def test_non_numeric_input_is_a_validation_error_naming_it(call, name):
         (lambda rho, sigma: tensor(rho.mat, sigma), "rho"),
         (lambda rho, sigma: tensor(rho, sigma.mat), "sigma"),
         (lambda rho, sigma: measure(basis_measurement(np.eye(2)), rho.mat), "rho"),
+        (lambda rho, sigma: measure(["x"], rho), "effect"),
+        (lambda rho, sigma: measure(5, rho), "effects"),
         (lambda rho, sigma: embed_classical([0.5, 0.5]), "p"),
         (lambda rho, sigma: curve_length(rho), "curve"),
         (lambda rho, sigma: curve_speeds(rho.mat), "curve"),
@@ -341,6 +345,8 @@ def test_non_numeric_input_is_a_validation_error_naming_it(call, name):
         "contraction-t",
         "mixture-bare",
         "mixture-test",
+        "mixture-not-a-list",
+        "mixture-array",
         "classical-fidelity-p",
         "classical-fidelity-q",
         "kl-divergence-q",
@@ -360,6 +366,8 @@ def test_non_numeric_input_is_a_validation_error_naming_it(call, name):
         "tensor-rho",
         "tensor-sigma",
         "measure-state",
+        "measure-effect-str",
+        "measure-effects-int",
         "embed-classical-p",
         "curve-length-curve",
         "curve-speeds-curve",

@@ -14,6 +14,7 @@ import re
 import numpy as np
 import pytest
 
+import revfid
 from revfid.divergences import (
     OperatorMonotoneSpec,
     delta_max_bounds,
@@ -491,3 +492,35 @@ def test_fr_estimate_takes_f_min_from_its_geodesic(decompositions):
     fr = fr_estimate(rho, sigma, control_points=3, iterations=2)
     assert decompositions["eigh"] + decompositions["svd"] == geodesic == 2
     assert f_min(rho, sigma) - 1e-9 <= fr <= uhlmann_fidelity(rho, sigma) + 1e-9
+
+
+# ----------------------------------------------------------- pair checks per call
+
+
+@pytest.fixture
+def pair_checks(monkeypatch):
+    # every module's name for states.require_pair, counted
+    calls = []
+    original = revfid.states.require_pair
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (revfid.divergences, revfid.geometry, revfid.reverse_tests, revfid.states):
+        monkeypatch.setattr(module, "require_pair", counted, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rho, sigma: reverse_relative_entropy(rho, sigma),
+        lambda rho, sigma: fr_estimate(rho, sigma, control_points=3, iterations=2),
+    ],
+    ids=["reverse_relative_entropy", "fr_estimate"],
+)
+def test_one_pair_check_per_call(call, pair_checks):
+    # the minimal test's _base checks the pair; the full-rank demands beyond the base's follow it
+    call(random_density(3, 3, 1), random_density(3, 3, 2))
+    assert len(pair_checks) == 1
